@@ -34,7 +34,11 @@ from .representation import orbit_types
 
 def _order_cap() -> int:
     value = os.environ.get("BURNEQ_ORDER_CAP")
-    return int(value) if value else DEFAULT_ORDER_CAP
+    if not value:
+        return DEFAULT_ORDER_CAP
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise DescriptorError(f"BURNEQ_ORDER_CAP must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -6,7 +6,10 @@ thickness of the normal tube, and a local map on fixed-subspace coordinates
 (an exact linear block, a coordinate expression system, or a declared
 integer index). A polystandard map is a finite list of pieces with pairwise
 disjoint orbits and tubes; its degree is the sum of local indices times the
-classes of the zero orbits.
+classes of the zero orbits. Disjointness is checked orbit by orbit, and
+exactly: G acts by isometries, so two orbits come closest with one point at
+its base point, and #pieces x #points integer distances (denominators
+cleared once) decide what comparing all pairs of points would.
 
 The local index of a linear block is the sign of its exact determinant.
 Expression pieces go through a central-difference Jacobian restricted to
@@ -24,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from . import expr as expr_mod
@@ -37,7 +41,7 @@ from .errors import (
 )
 from .expr import Expr
 from .group import Subgroup, class_index_of, subgroup_classes
-from .linalg import Matrix, Vector
+from .linalg import IntVector, Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
     direct_sum,
@@ -134,10 +138,6 @@ def _point_label(point: Vector) -> str:
 
 # ---------------------------------------------------------------- piece construction
 
-def _orbit_spacing2(points: Sequence[Vector]) -> Fraction | None:
-    return linalg.min_pairwise_norm2(points)
-
-
 def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef,
                    radius=None, epsilon=None) -> StandardPiece:
     """Validate and build one standard piece.
@@ -155,8 +155,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             f"base point has {len(x0)} coordinates, expected {rep.dim}"
         )
     sub = isotropy(rep, x0)
-    points = orbit(rep, x0)
-    spacing2 = _orbit_spacing2(points)
+    spacing2 = linalg.min_orbit_spacing2([orbit(rep, x0)])
     if spacing2 is not None:
         default_size = linalg.rational_sqrt_floor(spacing2 / 32)
     else:
@@ -266,30 +265,25 @@ def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
 
 
 def polystandard_map(rep: OrthogonalRepresentation, pieces) -> PolystandardMap:
-    """Validate orbit and tube disjointness across pieces and build the map."""
+    """Validate orbit and tube disjointness across pieces and build the map.
+
+    Pieces clash when their orbits come within the sum of their tubes
+    (radius + epsilon); with tubes T / q over one denominator q, exactly
+    when gap * q^2 <= (T_i + T_j)^2 * s^2 for the gaps of `orbit_gaps2`.
+    """
     pieces = tuple(pieces)
-    orbits = [orbit(rep, p.base_point) for p in pieces]
-    flat: list[Vector] = []
-    owner: list[int] = []
-    for i, pts in enumerate(orbits):
-        flat.extend(pts)
-        owner.extend([i] * len(pts))
-    if flat:
-        ints, scale = linalg.scaled_int_points(flat)
-        s2 = scale * scale
-        tube = [p.radius + p.epsilon for p in pieces]
-        for a in range(len(ints)):
-            for b in range(a + 1, len(ints)):
-                i, j = owner[a], owner[b]
-                if i == j:
-                    continue
-                threshold = (tube[i] + tube[j]) ** 2
-                d2 = linalg.int_norm2(ints[a], ints[b])
-                if d2 * threshold.denominator <= threshold.numerator * s2:
-                    raise OverlappingPieces(
-                        f"pieces {i} and {j} have orbits closer than the sum "
-                        f"of their tube radii"
-                    )
+    gaps, scale = linalg.orbit_gaps2([orbit(rep, p.base_point) for p in pieces])
+    s2 = scale * scale
+    tubes = [p.radius + p.epsilon for p in pieces]
+    q = lcm(*(t.denominator for t in tubes))
+    q2 = q * q
+    tube = [t.numerator * (q // t.denominator) for t in tubes]
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        if gaps[i][j] * q2 <= (tube[i] + tube[j]) ** 2 * s2:
+            raise OverlappingPieces(
+                f"pieces {i} and {j} have orbits closer than the sum "
+                f"of their tube radii"
+            )
     return PolystandardMap(rep=rep, pieces=pieces)
 
 
@@ -399,8 +393,8 @@ def _product_pieces(f: PolystandardMap, g: PolystandardMap):
     spacings = [
         s
         for s in (
-            _orbit_spacing2([pt for _, _, pts in left for pt in pts]),
-            _orbit_spacing2([pt for _, _, pts in right for pt in pts]),
+            linalg.min_orbit_spacing2([pts for _, _, pts in left]),
+            linalg.min_orbit_spacing2([pts for _, _, pts in right]),
         )
         if s is not None
     ]
@@ -411,20 +405,22 @@ def _product_pieces(f: PolystandardMap, g: PolystandardMap):
     if spacings:
         size = min(size, linalg.rational_sqrt_floor(min(spacings) / 32))
 
-    order = f.rep.group.order
     out = []
     for p, da, orb_a in left:
         for q, db, orb_b in right:
-            covered: set[Vector] = set()
-            for y in orb_a:
-                for z in orb_b:
-                    yz = y + z
-                    if yz in covered:
+            # the diagonal orbit of (y, z) is the orbit of y + z in the sum;
+            # for Y + Z = s (y + z) its integer images share the scale
+            # denom * s, where the identity image is denom * (Y + Z)
+            ints, _ = linalg.scaled_int_points(orb_a + orb_b)
+            keys = [tuple(sum_rep.denom * v for v in pt) for pt in ints]
+            covered: set[IntVector] = set()
+            for i, y in enumerate(orb_a):
+                for j, z in enumerate(orb_b, len(orb_a)):
+                    if keys[i] + keys[j] in covered:
                         continue
-                    for w in range(order):
-                        covered.add(f.rep.apply(w, y) + g.rep.apply(w, z))
+                    covered.update(sum_rep.images(ints[i] + ints[j]))
                     piece = standard_piece(
-                        sum_rep, yz, DeclaredLocalMap(da * db),
+                        sum_rep, y + z, DeclaredLocalMap(da * db),
                         radius=size, epsilon=size,
                     )
                     out.append((piece, da, db))

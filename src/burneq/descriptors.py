@@ -68,7 +68,7 @@ def load_group(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise DescriptorError(f"{path}: 'generators' must be a list of permutations")
     try:
         group = generate_group(generators, order_cap=order_cap)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
     if group.points != points:
         raise DescriptorError(
@@ -86,6 +86,10 @@ def load_representation(path, group: FiniteGroup) -> OrthogonalRepresentation:
         raise DescriptorError(
             f"{path}: needs integer 'dim' and 'generator_matrices'"
         ) from exc
+    if not isinstance(raw, list) or not all(
+        isinstance(m, list) and all(isinstance(row, list) for row in m) for m in raw
+    ):
+        raise DescriptorError(f"{path}: 'generator_matrices' must be lists of row lists")
     matrices = [
         [[_fraction(entry, f"{path} matrix {k}") for entry in row] for row in matrix]
         for k, matrix in enumerate(raw)
@@ -97,6 +101,8 @@ def load_representation(path, group: FiniteGroup) -> OrthogonalRepresentation:
 
 
 def _local_from_dict(data: dict, rep: OrthogonalRepresentation, where: str):
+    if not isinstance(data, dict):
+        raise DescriptorError(f"{where}: 'local' must be a JSON object")
     kind = data.get("type")
     if kind == "linear":
         matrix = data.get("matrix")

@@ -114,4 +114,4 @@ class DivisionByZero(ExprError):
 # ---------------------------------------------------------------- descriptor files
 
 class DescriptorError(BurneqError):
-    """A descriptor file or element string could not be parsed."""
+    """A descriptor file, element string or setting could not be parsed."""

@@ -8,11 +8,13 @@ Fraction. Everything here is pure and exact; floats appear only in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import accumulate
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntVector = tuple[int, ...]
 
 
 def vec(items: Iterable) -> Vector:
@@ -46,26 +48,6 @@ def madd(a: Matrix, b: Matrix) -> Matrix:
 
 def msub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * x for x in v)
-
-
-def dot(a: Vector, b: Vector) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def norm2(v: Vector) -> Fraction:
-    return sum(x * x for x in v)
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -183,16 +165,6 @@ def restricted_matrix(f: Matrix, basis: Sequence[Vector]) -> Matrix:
     return solve(gram, matmul(ct, matmul(f, c)))
 
 
-def projection_matrix(basis: Sequence[Vector], dim: int) -> Matrix:
-    """Orthogonal projection onto the span of `basis` inside R^dim."""
-    if not basis:
-        return tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
-    c = columns(basis)
-    ct = transpose(c)
-    gram = matmul(ct, c)
-    return matmul(c, solve(gram, ct))
-
-
 def rational_sqrt_floor(s: Fraction) -> Fraction:
     """A positive rational r with r*r <= s, for s > 0."""
     if s <= 0:
@@ -201,37 +173,54 @@ def rational_sqrt_floor(s: Fraction) -> Fraction:
     return Fraction(isqrt(a * b), b)
 
 
-def scaled_int_points(points: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
+def scaled_int_points(points: Sequence[Vector]) -> tuple[list[IntVector], int]:
     """Clear denominators: returns integer points and the common scale s.
 
     Each returned point equals s times the original, so squared distances
     in the integer lattice are s^2 times the exact rational ones.
     """
-    scale = 1
-    for p in points:
-        for x in p:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [tuple(int(x * scale) for x in p) for p in points]
+    scale = lcm(*(x.denominator for p in points for x in p))
+    ints = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
     return ints, scale
 
 
-def int_norm2(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def int_norm2(a: IntVector, b: IntVector) -> int:
     return sum((x - y) * (x - y) for x, y in zip(a, b))
 
 
-def min_pairwise_norm2(points: Sequence[Vector]) -> Fraction | None:
-    """Minimum squared distance over distinct point pairs; None if < 2 points."""
-    if len(points) < 2:
-        return None
-    ints, scale = scaled_int_points(points)
-    best: int | None = None
-    for i in range(len(ints)):
-        for j in range(i + 1, len(ints)):
-            d = int_norm2(ints[i], ints[j])
-            if best is None or d < best:
-                best = d
-    assert best is not None
-    return Fraction(best, scale * scale)
+def orbit_gaps2(orbits: Sequence[Sequence[Vector]]) -> tuple[list[list[int | None]], int]:
+    """Squared closest approach between orbits of one isometric action.
+
+    Each orbit lists its base point first. Returns a table whose entry
+    [i][j], j >= i, is s^2 min |a - b|^2 over a in orbit i and b in orbit
+    j, b != a if j == i (None for a one-point orbit), and the scale s that
+    clears every denominator. As |g x - b| = |x - g^-1 b|, a can stay at
+    the base point x: #orbits x #points distances give the all-pairs
+    minima exactly.
+    """
+    flat, scale = scaled_int_points([p for orb in orbits for p in orb])
+    bounds = list(accumulate(map(len, orbits), initial=0))
+    ints = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    gaps: list[list[int | None]] = []
+    for i, orb in enumerate(ints):
+        x = orb[0]
+        row: list[int | None] = [None] * i
+        row.append(min((int_norm2(x, b) for b in orb[1:]), default=None))
+        row.extend(min(int_norm2(x, b) for b in other) for other in ints[i + 1:])
+        gaps.append(row)
+    return gaps, scale
+
+
+def min_orbit_spacing2(orbits: Sequence[Sequence[Vector]]) -> Fraction | None:
+    """Minimum squared distance between distinct points of a union of orbits.
+
+    The orbits come from one isometric action and list their base points
+    first (see `orbit_gaps2`); two orbits that share a point give 0. None
+    when the union has fewer than two points.
+    """
+    gaps, scale = orbit_gaps2(orbits)
+    best = min((d for row in gaps for d in row if d is not None), default=None)
+    return None if best is None else Fraction(best, scale * scale)
 
 
 def float_det(rows: list[list[float]]) -> float:

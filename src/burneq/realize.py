@@ -122,8 +122,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
     if not placements:
         return polystandard_map(rep, ())
 
-    all_points = [pt for x, _ in placements for pt in orbit(rep, x)]
-    spacing2 = linalg.min_pairwise_norm2(all_points)
+    spacing2 = linalg.min_orbit_spacing2([orbit(rep, x) for x, _ in placements])
     if spacing2 is None:
         size = Fraction(1)
     else:

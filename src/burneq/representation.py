@@ -1,17 +1,24 @@
 """Orthogonal representations of finite groups over exact rationals.
 
-All representation algebra is exact: matrices of Fractions, fixed-point
-subspaces as kernels of averaging projectors, isotropy by exact equality.
-Floats never enter here; they live only in the numerical Jacobian path of
-the degree module. Representations that need irrational matrices must be
-fed in through a rational orthogonal form; embedding in a permutation
-representation (see `permutation_representation`) always works.
+All representation algebra is exact and runs on integers: rho(g) = A_g / D
+with A_g kept as sparse rows of (column, coefficient) pairs and D common to
+the group. A monomial (signed-permutation) row has one pair, so applying it
+is an index shuffle; a dense rational row is the same code with more pairs.
+`orbit` and `isotropy` clear a point's denominators once, x = X / s, and
+compare the integer images A_g X, which share the scale D * s. The exact
+Fraction matrices (`matrices`, used by `apply`) are derived on first use;
+tests check the integer kernel against them. Floats never enter here.
+Representations that need irrational matrices must be fed in through a
+rational orthogonal form; embedding in a permutation representation always
+works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -30,29 +37,49 @@ from .group import (
     class_labels,
     subgroup_classes,
 )
-from .linalg import Matrix, Vector
+from .linalg import IntVector, Matrix, Vector
+
+# sparse integer rows: (column, coefficient) pairs, columns ascending and
+# coefficients nonzero, so equal matrices have equal rows
+IntMatrix = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class OrthogonalRepresentation:
-    """One exact-rational orthogonal matrix per group element.
+    """One exact-rational orthogonal matrix per group element, rows[g] / denom.
 
     Construct through `build_representation`; immutable afterwards. Derived
-    data (fixed subspaces) is cached per subgroup.
+    data (Fraction matrices, fixed subspaces) is cached.
     """
 
-    def __init__(self, group: FiniteGroup, dim: int, matrices: tuple[Matrix, ...],
-                 label: str | None = None):
+    def __init__(self, group: FiniteGroup, dim: int, rows: tuple[IntMatrix, ...],
+                 denom: int, label: str | None = None):
         self.group = group
         self.dim = dim
-        self.matrices = matrices
+        self.rows = rows
+        self.denom = denom
         self.label = label
         self._fixed_cache: dict[tuple[int, ...], FixedSubspace] = {}
 
-    def matrix(self, g: int) -> Matrix:
-        return self.matrices[g]
+    @cached_property
+    def matrices(self) -> tuple[Matrix, ...]:
+        """rho(g) as exact Fraction matrices, in element order."""
+        return tuple(_dense(rows, self.denom, self.dim) for rows in self.rows)
 
     def apply(self, g: int, v: Vector) -> Vector:
         return linalg.matvec(self.matrices[g], v)
+
+    def images(self, point: IntVector) -> list[IntVector]:
+        """rows[g] X for every element g; rho(g) (X / s) is that over denom * s."""
+        out = []
+        for rows in self.rows:
+            image = []
+            for row in rows:
+                acc = 0
+                for j, c in row:
+                    acc += c * point[j]
+                image.append(acc)
+            out.append(tuple(image))
+        return out
 
     def __repr__(self) -> str:
         return f"<OrthogonalRepresentation dim={self.dim} of {self.group!r}>"
@@ -80,6 +107,48 @@ class OrbitTypeTable:
     entries: tuple[OrbitTypeEntry, ...]
 
 
+# ---------------------------------------------------------------- integer kernel
+# During closure a matrix is a pair (rows, d), meaning rows / d, kept canonical
+# (d shares no factor with every entry) so that equal matrices are equal pairs.
+
+def _clear(m: Matrix) -> tuple[IntMatrix, int]:
+    d = lcm(*(x.denominator for row in m for x in row))
+    return tuple(
+        tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x)
+        for row in m
+    ), d
+
+
+def _product(a: tuple[IntMatrix, int], b: tuple[IntMatrix, int]) -> tuple[IntMatrix, int]:
+    (ra, da), (rb, db) = a, b
+    rows = []
+    for row in ra:
+        acc: dict[int, int] = {}
+        for k, c in row:
+            for j, e in rb[k]:
+                acc[j] = acc.get(j, 0) + c * e
+        rows.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    d = da * db
+    g = gcd(d, *(c for row in rows for _, c in row)) if d > 1 else 1
+    if g > 1:
+        rows = [tuple((j, c // g) for j, c in row) for row in rows]
+    return tuple(rows), d // g
+
+
+def _transpose(rows: IntMatrix, dim: int) -> IntMatrix:
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            cols[j].append((i, c))
+    return tuple(map(tuple, cols))
+
+
+def _dense(rows: IntMatrix, denom: int, dim: int) -> Matrix:
+    return tuple(
+        tuple(Fraction(row.get(j, 0), denom) for j in range(dim)) for row in map(dict, rows)
+    )
+
+
 def build_representation(group: FiniteGroup, generator_matrices,
                          label: str | None = None) -> OrthogonalRepresentation:
     """Extend generator matrices to the whole group and validate.
@@ -97,26 +166,34 @@ def build_representation(group: FiniteGroup, generator_matrices,
     if not gens:
         raise DimensionMismatch("no generator matrices")
     dim = len(gens[0])
+    identity = (tuple(((i, 1),) for i in range(dim)), 1)
+    int_gens = []
     for m in gens:
         if len(m) != dim or any(len(row) != dim for row in m):
             raise DimensionMismatch("generator matrices must be square and equal-sized")
-        if linalg.matmul(linalg.transpose(m), m) != linalg.identity(dim):
+        rows, d = _clear(m)
+        if _product((_transpose(rows, dim), d), (rows, d)) != identity:
             raise NotOrthogonal("generator matrix is not orthogonal")
+        int_gens.append((rows, d))
 
-    matrices: list[Matrix] = [linalg.identity(dim)] * group.order
+    elements = [identity] * group.order
     for idx in range(1, group.order):
         parent, gi = group.construction[idx]
-        matrices[idx] = linalg.matmul(matrices[parent], gens[gi])
+        elements[idx] = _product(elements[parent], int_gens[gi])
 
     mult = group.mult_table
     for y in range(group.order):
-        my = matrices[y]
         for gi, ge in enumerate(group.generator_indices):
-            if matrices[mult[y][ge]] != linalg.matmul(my, gens[gi]):
+            if elements[mult[y][ge]] != _product(elements[y], int_gens[gi]):
                 raise NotAHomomorphism(
                     f"matrices violate the relation at element {y}, generator {gi}"
                 )
-    return OrthogonalRepresentation(group, dim, tuple(matrices), label=label)
+    denom = lcm(*(d for _, d in elements))
+    rows = tuple(
+        tuple(tuple((j, c * (denom // d)) for j, c in row) for row in a)
+        for a, d in elements
+    )
+    return OrthogonalRepresentation(group, dim, rows, denom, label=label)
 
 
 def _perm_matrix(perm: Perm) -> Matrix:
@@ -155,12 +232,9 @@ def direct_sum(a: OrthogonalRepresentation,
         raise GroupMismatch("representations of different groups")
     zero = Fraction(0)
     gens = []
-    for ga, gb in zip(
-        (a.matrices[i] for i in a.group.generator_indices),
-        (b.matrices[i] for i in b.group.generator_indices),
-    ):
-        top = [row + (zero,) * b.dim for row in ga]
-        bottom = [(zero,) * a.dim + row for row in gb]
+    for ge in a.group.generator_indices:
+        top = [row + (zero,) * b.dim for row in _dense(a.rows[ge], a.denom, a.dim)]
+        bottom = [(zero,) * a.dim + row for row in _dense(b.rows[ge], b.denom, b.dim)]
         gens.append(tuple(top + bottom))
     return build_representation(a.group, gens)
 
@@ -173,17 +247,15 @@ def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSu
     if cached is not None:
         return cached
     n = rep.dim
-    weight = Fraction(1, subgroup.order)
-    projector = [[Fraction(0)] * n for _ in range(n)]
+    total = [[0] * n for _ in range(n)]
     for h in subgroup.element_set:
-        m = rep.matrices[h]
-        for i in range(n):
-            row = m[i]
-            acc = projector[i]
-            for j in range(n):
-                acc[j] += weight * row[j]
+        for acc, row in zip(total, rep.rows[h]):
+            for j, c in row:
+                acc[j] += c
+    scale = subgroup.order * rep.denom
     delta = tuple(
-        tuple(projector[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
+        tuple(Fraction(total[i][j], scale) - (1 if i == j else 0) for j in range(n))
+        for i in range(n)
     )
     basis = tuple(linalg.kernel_basis(delta))
     result = FixedSubspace(
@@ -196,23 +268,28 @@ def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSu
     return result
 
 
-def isotropy(rep: OrthogonalRepresentation, point) -> Subgroup:
-    """Exact stabilizer of a point."""
+def _int_point(rep: OrthogonalRepresentation, point) -> tuple[IntVector, int]:
     x = linalg.vec(point)
     if len(x) != rep.dim:
         raise DimensionMismatch(f"point has {len(x)} coordinates, expected {rep.dim}")
-    return Subgroup(
-        tuple(g for g in range(rep.group.order) if rep.apply(g, x) == x)
-    )
+    (ints,), scale = linalg.scaled_int_points([x])
+    return ints, scale
+
+
+def isotropy(rep: OrthogonalRepresentation, point) -> Subgroup:
+    """Exact stabilizer of a point: the g with rho(g) X = X in integers."""
+    ints, _ = _int_point(rep, point)
+    fixed = tuple(rep.denom * v for v in ints)
+    return Subgroup(tuple(g for g, image in enumerate(rep.images(ints)) if image == fixed))
 
 
 def orbit(rep: OrthogonalRepresentation, point) -> tuple[Vector, ...]:
-    """The orbit of a point, deduplicated exactly, in first-seen order."""
-    x = linalg.vec(point)
-    seen: dict[Vector, None] = {}
-    for g in range(rep.group.order):
-        seen.setdefault(rep.apply(g, x), None)
-    return tuple(seen)
+    """The orbit of a point, deduplicated exactly, in first-seen order (x first)."""
+    ints, scale = _int_point(rep, point)
+    den = rep.denom * scale
+    return tuple(
+        tuple(Fraction(v, den) for v in image) for image in dict.fromkeys(rep.images(ints))
+    )
 
 
 def point_with_exact_isotropy(rep: OrthogonalRepresentation,

@@ -175,3 +175,21 @@ def test_order_cap_env_var(files, capsys, monkeypatch):
     code = main(["group", "-g", files["s3"]])
     assert code == 1
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_order_cap_is_a_one_line_error(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("BURNEQ_ORDER_CAP", value)
+    code = main(["group", "-g", files["s3"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BURNEQ_ORDER_CAP") and err.count("\n") == 1
+
+
+def test_malformed_rep_descriptor_is_a_one_line_error(files, capsys):
+    bad = files["dir"] / "bad.json"
+    bad.write_text('{"dim": 1, "generator_matrices": 5}', encoding="utf-8")
+    code = main(["group", "-g", files["z2"], "-r", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -167,3 +167,32 @@ def test_saved_map_is_byte_stable(tmp_path):
     descriptors.save_map(a, f)
     descriptors.save_map(b, f)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("raw", [5, None, "abc", [5], [[5]], [["1", "0"]], [{"a": 1}]])
+def test_malformed_generator_matrices(tmp_path, raw):
+    group = descriptors.load_group(
+        write(tmp_path / "g.json", {"points": 2, "generators": [[1, 0]]})
+    )
+    rep_payload = {"dim": 1, "generator_matrices": raw}
+    with pytest.raises(DescriptorError):
+        descriptors.load_representation(write(tmp_path / "r.json", rep_payload), group)
+
+
+@pytest.mark.parametrize("generators", [[5], [[None, 0]], [[1, "a"]]])
+def test_malformed_generators(tmp_path, generators):
+    bad = {"points": 2, "generators": generators}
+    with pytest.raises(DescriptorError):
+        descriptors.load_group(write(tmp_path / "g.json", bad))
+
+
+def test_map_local_not_an_object(tmp_path):
+    group = descriptors.load_group(write(tmp_path / "g.json", S3_GROUP))
+    rep = descriptors.load_representation(write(tmp_path / "r.json", S3_PERM_REP), group)
+    payload = {
+        "pieces": [
+            {"base_point": ["1", "1", "0"], "radius": "1/8", "epsilon": "1/8", "local": 5}
+        ]
+    }
+    with pytest.raises(DescriptorError):
+        descriptors.load_map(write(tmp_path / "m.json", payload), rep)

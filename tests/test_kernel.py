@@ -1,0 +1,169 @@
+"""The integer action kernel and orbit-level geometry against Fraction brute force.
+
+`orbit` and `isotropy` run on integer rows with cleared denominators; here
+they are recomputed with `linalg.matvec` on the Fraction matrices. The
+orbit-level spacing and overlap checks are compared with all-pairs minima
+kept in this file.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import burneq as bq
+import burneq.linalg as la
+from burneq.degree import DeclaredLocalMap, StandardPiece
+from burneq.errors import DimensionMismatch, OverlappingPieces
+from groupdata import make_group, make_rep
+
+# the three-four-five rotation; conjugating by it makes rows dense rational
+ROTATION = la.mat([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
+
+KERNEL_REPS = [
+    "Z2-sign", "V4-signs", "S3-perm", "S3-regular", "D4-standard",
+    "Z2-reflection", "S3-rotated", "D4-rotated",
+]
+
+
+def conjugated(rep, dim):
+    """rho(g) -> Q rho(g) Q^T for the rotation Q restricted to `dim` coordinates."""
+    q = tuple(row[:dim] for row in ROTATION[:dim])
+    return [la.matmul(q, la.matmul(m, la.transpose(q))) for m in rep.matrices]
+
+
+def kernel_rep(name):
+    if name == "Z2-reflection":  # the rational reflection of test_descriptors
+        return bq.build_representation(make_group("Z2"), [[["-3/5", "4/5"], ["4/5", "3/5"]]])
+    if name in ("S3-rotated", "D4-rotated"):
+        base = make_rep("S3-perm" if name == "S3-rotated" else "D4-standard")
+        mats = conjugated(base, base.dim)
+        gens = [mats[ge] for ge in base.group.generator_indices]
+        return bq.build_representation(base.group, gens)
+    return make_rep(name)
+
+
+def brute_orbit(rep, x):
+    seen = {}
+    for g in range(rep.group.order):
+        seen.setdefault(la.matvec(rep.matrices[g], x), None)
+    return tuple(seen)
+
+
+def brute_isotropy(rep, x):
+    return tuple(g for g in range(rep.group.order) if la.matvec(rep.matrices[g], x) == x)
+
+
+def sq_dist(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a, b))
+
+
+def all_pairs_min2(points):
+    """Minimum squared distance over distinct index pairs; None below two points."""
+    return min((sq_dist(a, b) for a, b in itertools.combinations(points, 2)), default=None)
+
+
+def random_point(rng, dim):
+    return tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(dim))
+
+
+def sample_points(rep, rng, count=6):
+    """Generic points plus witnesses of every occupied stratum, all rescaled."""
+    points = [random_point(rng, rep.dim) for _ in range(count)]
+    for cls in bq.subgroup_classes(rep.group):
+        try:
+            x = bq.point_with_exact_isotropy(rep, cls.representative)
+        except bq.errors.EmptyOrbitTypeStratum:
+            continue
+        scale = Fraction(rng.randint(1, 9), rng.choice((1, 2, 5, 6)))
+        points.append(tuple(scale * c for c in x))
+    return points
+
+
+# ---------------------------------------------------------------- kernel
+
+@pytest.mark.parametrize("name", KERNEL_REPS)
+def test_orbit_and_isotropy_match_fraction_matvec(name):
+    rep = kernel_rep(name)
+    rng = random.Random(name)
+    for x in sample_points(rep, rng):
+        assert bq.orbit(rep, x) == brute_orbit(rep, x)
+        assert bq.isotropy(rep, x).element_set == brute_isotropy(rep, x)
+
+
+@pytest.mark.parametrize("name", ["S3-rotated", "D4-rotated"])
+def test_rotated_matrices_are_the_conjugates(name):
+    rep = kernel_rep(name)
+    base = make_rep("S3-perm" if name == "S3-rotated" else "D4-standard")
+    assert list(rep.matrices) == conjugated(base, base.dim)
+    assert rep.denom > 1
+
+
+def test_point_of_wrong_dimension_rejected():
+    rep = kernel_rep("S3-perm")
+    with pytest.raises(DimensionMismatch):
+        bq.orbit(rep, [1, 2])
+    with pytest.raises(DimensionMismatch):
+        bq.isotropy(rep, [1, 2, 3, 4])
+
+
+# ---------------------------------------------------------------- orbit geometry
+
+@pytest.mark.parametrize("name", KERNEL_REPS)
+def test_orbit_spacing_equals_all_pairs(name):
+    rep = kernel_rep(name)
+    rng = random.Random(f"spacing {name}")
+    points = sample_points(rep, rng)
+    for _ in range(12):
+        bases = rng.sample(points, rng.randint(1, 3))
+        if rng.random() < 0.3:  # a second copy of an orbit from another base point
+            g = rng.randrange(rep.group.order)
+            bases.append(rep.apply(g, bases[0]))
+        orbits = [bq.orbit(rep, x) for x in bases]
+        expected = all_pairs_min2([p for orb in orbits for p in orb])
+        assert la.min_orbit_spacing2(orbits) == expected
+        gaps, scale = la.orbit_gaps2(orbits)
+        for i, j in itertools.combinations(range(len(orbits)), 2):
+            cross = min(sq_dist(a, b) for a in orbits[i] for b in orbits[j])
+            assert Fraction(gaps[i][j], scale * scale) == cross
+
+
+def brute_overlap(rep, pieces):
+    orbits = [brute_orbit(rep, p.base_point) for p in pieces]
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        threshold = (pieces[i].radius + pieces[i].epsilon + pieces[j].radius + pieces[j].epsilon) ** 2
+        if any(sq_dist(a, b) <= threshold for a in orbits[i] for b in orbits[j]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", KERNEL_REPS)
+def test_overlap_check_agrees_with_all_pairs(name):
+    rep = kernel_rep(name)
+    rng = random.Random(f"overlap {name}")
+    points = sample_points(rep, rng)
+    outcomes = set()
+    for _ in range(30):
+        bases = rng.sample(points, rng.randint(2, 3))
+        orbits = [brute_orbit(rep, x) for x in bases]
+        closest = min(
+            sq_dist(a, b) for oi, oj in itertools.combinations(orbits, 2) for a in oi for b in oj
+        )
+        # tubes around half the closest approach, so some pairs just touch
+        half = la.rational_sqrt_floor(closest) / 2 if closest else Fraction(1)
+        pieces = []
+        for x in bases:
+            tube = half * (1 + Fraction(rng.randint(-2, 2), 64))
+            epsilon = tube * Fraction(rng.randint(1, 3), 4)
+            pieces.append(StandardPiece(x, bq.isotropy(rep, x), tube - epsilon, epsilon,
+                                        DeclaredLocalMap(1)))
+        expected = brute_overlap(rep, pieces)
+        try:
+            bq.polystandard_map(rep, pieces)
+            raised = False
+        except OverlappingPieces:
+            raised = True
+        assert raised == expected
+        outcomes.add(raised)
+    assert outcomes == {True, False}
