@@ -54,7 +54,6 @@ from .group import (
 )
 from .realize import (
     RealizationTarget,
-    point_with_exact_isotropy,
     realize_element,
     signed_linear_block,
 )
@@ -69,8 +68,10 @@ from .representation import (
     orbit,
     orbit_types,
     permutation_representation,
+    point_with_exact_isotropy,
     regular_representation,
     trivial_representation,
+    witness_points,
 )
 
 __version__ = "0.1.0"

@@ -267,7 +267,7 @@ def cmd_check(args) -> int:
         failures += bad
 
     if failures:
-        raise NonIntegralSolution(f"{failures} self-check failures")
+        raise AssertionError(f"{failures} self-check failures")
     return 0
 
 

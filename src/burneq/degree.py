@@ -6,34 +6,40 @@ thickness of the normal tube, and a local map on fixed-subspace coordinates
 (an exact linear block, a coordinate expression system, or a declared
 integer index). A polystandard map is a finite list of pieces with pairwise
 disjoint orbits and tubes; its degree is the sum of local indices times the
-classes of the zero orbits. Disjointness is checked orbit by orbit, and
-exactly: G acts by isometries, so two orbits come closest with one point at
-its base point, and #pieces x #points integer distances (denominators
-cleared once) decide what comparing all pairs of points would.
+classes of the zero orbits. Each piece keeps the orbit of its base point,
+enumerated once when the piece is built. Disjointness is checked orbit by
+orbit, and exactly: G acts by isometries, so two orbits come closest with
+one point at its base point, and #pieces x #points integer distances
+(denominators cleared once) decide what comparing all pairs of points would.
 
 The local index of a linear block is the sign of its exact determinant.
 Expression pieces go through a central-difference Jacobian restricted to
 fixed-subspace directions; the determinant is declared singular below
-1e-8 * scale^d where scale = max(1, inf-norm of the Jacobian).
+1e-8 * scale^d where scale = max(1, inf-norm of the Jacobian), and so is a
+Jacobian with an infinite or NaN entry.
 
 Products of maps over V and W live over the block sum V (+) W: each pair of
-zero orbits splits into diagonal orbits, and every resulting piece carries
-the product of the two local indices as a declared index. The independent
+zero orbits G y x G z splits into diagonal orbits, and every resulting piece
+carries the product of the two local indices as a declared index. Every
+diagonal orbit meets the row {y} x G z, where it is a G_y-orbit, so the
+diagonal orbits are enumerated from that one row. The independent
 block-determinant recomputation of that shortcut lives in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 from . import expr as expr_mod
 from . import linalg
-from .burnside import BurnsideElement, mul as ring_mul, zero_element
+from .burnside import BurnsideElement, mul as ring_mul
 from .errors import (
+    DimensionMismatch,
     GroupMismatch,
     InvalidPiece,
     OverlappingPieces,
@@ -41,7 +47,7 @@ from .errors import (
 )
 from .expr import Expr
 from .group import Subgroup, class_index_of, subgroup_classes
-from .linalg import IntVector, Matrix, Vector
+from .linalg import Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
     direct_sum,
@@ -90,6 +96,7 @@ class StandardPiece:
     radius: Fraction
     epsilon: Fraction
     local: LocalMapDef
+    orbit: tuple[Vector, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,8 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
 
     When radius or epsilon are omitted they default to a safe bound below a
     quarter of the minimal spacing of the orbit. Validation covers: exact
-    isotropy computation, the epsilon-versus-orbit-spacing bound, arity of
+    isotropy and orbit computation (the orbit is kept on the piece), the
+    epsilon-versus-orbit-spacing bound, arity of
     the local map against dim V^H, the {0,1} constraint on declared indices
     at dimension zero, and the heuristic second-zero grid scan for
     expression pieces.
@@ -155,7 +163,8 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             f"base point has {len(x0)} coordinates, expected {rep.dim}"
         )
     sub = isotropy(rep, x0)
-    spacing2 = linalg.min_orbit_spacing2([orbit(rep, x0)])
+    points = orbit(rep, x0)
+    spacing2 = linalg.min_orbit_spacing2([points])
     if spacing2 is not None:
         default_size = linalg.rational_sqrt_floor(spacing2 / 32)
     else:
@@ -188,6 +197,8 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             raise InvalidPiece(
                 f"expression pieces support fixed dimension <= {EXPRESSION_DIM_CAP}"
             )
+        if any(abs(c) > sys.float_info.max for c in (*x0, radius)):
+            raise InvalidPiece("expression piece coordinates are out of floating-point range")
         if d > 0:
             _scan_for_second_zero(local.exprs, x0, rep, sub, radius)
     elif isinstance(local, DeclaredLocalMap):
@@ -197,9 +208,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             )
     else:
         raise InvalidPiece(f"unknown local map variant: {local!r}")
-    return StandardPiece(
-        base_point=x0, isotropy=sub, radius=radius, epsilon=epsilon, local=local
-    )
+    return StandardPiece(x0, sub, radius, epsilon, local, points)
 
 
 def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
@@ -272,10 +281,12 @@ def polystandard_map(rep: OrthogonalRepresentation, pieces) -> PolystandardMap:
     when gap * q^2 <= (T_i + T_j)^2 * s^2 for the gaps of `orbit_gaps2`.
     """
     pieces = tuple(pieces)
-    gaps, scale = linalg.orbit_gaps2([orbit(rep, p.base_point) for p in pieces])
+    if any(len(p.base_point) != rep.dim for p in pieces):
+        raise DimensionMismatch(f"every base point needs {rep.dim} coordinates")
+    gaps, scale = linalg.orbit_gaps2([p.orbit for p in pieces])
     s2 = scale * scale
     tubes = [p.radius + p.epsilon for p in pieces]
-    q = lcm(*(t.denominator for t in tubes))
+    q = math.lcm(*(t.denominator for t in tubes))
     q2 = q * q
     tube = [t.numerator * (q // t.denominator) for t in tubes]
     for i, j in itertools.combinations(range(len(pieces)), 2):
@@ -311,6 +322,10 @@ def expression_local_index(exprs: Sequence[Expr], base_point,
         minus = [x - h * y for x, y in zip(base, bf[k])]
         for i, e in enumerate(exprs):
             jac[i][k] = (expr_mod._ev(e.root, plus) - expr_mod._ev(e.root, minus)) / (2.0 * h)
+    if not all(math.isfinite(x) for row in jac for x in row):
+        raise SingularJacobian(
+            "the finite-difference Jacobian is not finite; supply a declared index"
+        )
     scale = max(1.0, max(sum(abs(x) for x in row) for row in jac))
     det = linalg.float_det(jac)
     if abs(det) < SINGULAR_TOL * scale ** d:
@@ -343,17 +358,7 @@ def local_index(piece: StandardPiece, rep: OrthogonalRepresentation) -> int:
 
 def deg_standard(piece: StandardPiece, rep: OrthogonalRepresentation) -> DegreeResult:
     """Degree of a single piece: local index times the class of its orbit."""
-    group = rep.group
-    d = local_index(piece, rep)
-    if d == 0:
-        return DegreeResult(value=zero_element(group), per_orbit=())
-    ci = class_index_of(group, piece.isotropy)
-    coeffs = [0] * len(subgroup_classes(group))
-    coeffs[ci] = d
-    return DegreeResult(
-        value=BurnsideElement(group, tuple(coeffs)),
-        per_orbit=(OrbitContribution(_point_label(piece.base_point), ci, d),),
-    )
+    return deg_polystandard(PolystandardMap(rep, (piece,)))
 
 
 def deg_polystandard(f: PolystandardMap) -> DegreeResult:
@@ -378,23 +383,21 @@ def existence_check(result: DegreeResult) -> bool:
 
 # ---------------------------------------------------------------- products
 
-def _product_pieces(f: PolystandardMap, g: PolystandardMap):
+def _product(f: PolystandardMap, g: PolystandardMap):
+    """The validated product map and the factor indices (d_left, d_right) of each piece."""
     if f.rep.group is not g.rep.group:
         raise GroupMismatch("maps over representations of different groups")
     sum_rep = direct_sum(f.rep, g.rep)
     if not f.pieces or not g.pieces:
-        return sum_rep, ()
-
-    left = [(p, local_index(p, f.rep), orbit(f.rep, p.base_point)) for p in f.pieces]
-    right = [(q, local_index(q, g.rep), orbit(g.rep, q.base_point)) for q in g.pieces]
+        return polystandard_map(sum_rep, ()), ()
 
     # the minimal nonzero distance between product points is realized with
     # one factor held fixed, so the two factor spacings are enough
     spacings = [
         s
         for s in (
-            linalg.min_orbit_spacing2([pts for _, _, pts in left]),
-            linalg.min_orbit_spacing2([pts for _, _, pts in right]),
+            linalg.min_orbit_spacing2([p.orbit for p in f.pieces]),
+            linalg.min_orbit_spacing2([q.orbit for q in g.pieces]),
         )
         if s is not None
     ]
@@ -405,26 +408,25 @@ def _product_pieces(f: PolystandardMap, g: PolystandardMap):
     if spacings:
         size = min(size, linalg.rational_sqrt_floor(min(spacings) / 32))
 
-    out = []
-    for p, da, orb_a in left:
-        for q, db, orb_b in right:
-            # the diagonal orbit of (y, z) is the orbit of y + z in the sum;
-            # for Y + Z = s (y + z) its integer images share the scale
-            # denom * s, where the identity image is denom * (Y + Z)
-            ints, _ = linalg.scaled_int_points(orb_a + orb_b)
-            keys = [tuple(sum_rep.denom * v for v in pt) for pt in ints]
-            covered: set[IntVector] = set()
-            for i, y in enumerate(orb_a):
-                for j, z in enumerate(orb_b, len(orb_a)):
-                    if keys[i] + keys[j] in covered:
-                        continue
-                    covered.update(sum_rep.images(ints[i] + ints[j]))
-                    piece = standard_piece(
-                        sum_rep, y + z, DeclaredLocalMap(da * db),
-                        radius=size, epsilon=size,
-                    )
-                    out.append((piece, da, db))
-    return sum_rep, tuple(out)
+    right = [(q.orbit, local_index(q, g.rep)) for q in g.pieces]
+    n = f.rep.dim
+    pieces, indices = [], []
+    for p in f.pieces:
+        y, da = p.base_point, local_index(p, f.rep)
+        for orb_b, db in right:
+            # the diagonal orbits of G y x G z meet the row {y} x G z in
+            # the G_y-orbits on G z; one piece per G_y-orbit
+            covered: set[Vector] = set()
+            for z in orb_b:
+                if z in covered:
+                    continue
+                piece = standard_piece(
+                    sum_rep, y + z, DeclaredLocalMap(da * db), radius=size, epsilon=size,
+                )
+                covered.update(w[n:] for w in piece.orbit if w[:n] == y)
+                pieces.append(piece)
+                indices.append((da, db))
+    return polystandard_map(sum_rep, pieces), tuple(indices)
 
 
 def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:
@@ -434,25 +436,23 @@ def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:
     product, carrying the declared index d_left * d_right and radii shrunk
     to fit inside the product tube.
     """
-    sum_rep, rows = _product_pieces(f, g)
-    return polystandard_map(sum_rep, tuple(piece for piece, _, _ in rows))
+    return _product(f, g)[0]
 
 
 def verify_product(f: PolystandardMap, g: PolystandardMap) -> ProductCheck:
     """Compare the degree of the product map against the ring product."""
-    sum_rep, rows = _product_pieces(f, g)
-    prod = polystandard_map(sum_rep, tuple(piece for piece, _, _ in rows))
+    prod, indices = _product(f, g)
     product_result = deg_polystandard(prod)
     left_result = deg_polystandard(f)
     right_result = deg_polystandard(g)
     rhs = ring_mul(left_result.value, right_result.value)
     orbit_rows = []
-    for piece, da, db in rows:
-        dg = local_index(piece, sum_rep)
+    for piece, (da, db) in zip(prod.pieces, indices):
+        dg = local_index(piece, prod.rep)
         orbit_rows.append(
             OrbitProductRow(
                 base_label=_point_label(piece.base_point),
-                class_index=class_index_of(sum_rep.group, piece.isotropy),
+                class_index=class_index_of(prod.rep.group, piece.isotropy),
                 index_left=da,
                 index_right=db,
                 index_product=dg,

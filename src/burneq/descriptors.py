@@ -12,6 +12,8 @@ Formats:
          {"type": "linear", "matrix": [[...], ...]},
          {"type": "expr", "exprs": ["x1 - x2^2", ...]},
          {"type": "degree", "d": -2}.
+
+k, n, the images and d are JSON integers; a bool or float is an error.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ def _fraction(value, where: str) -> Fraction:
     raise DescriptorError(f"{where}: expected a rational like \"p/q\", got {value!r}")
 
 
+def _integer(value, where: str) -> int:
+    """A JSON integer; bools and floats such as 2.5 or 2.0 are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DescriptorError(f"{where}: expected an integer, got {value!r}")
+
+
 def _load_json(path) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -60,15 +69,14 @@ def _load_json(path) -> dict:
 def load_group(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     data = _load_json(path)
     try:
-        points = int(data["points"])
-        generators = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+        points = _integer(data["points"], f"{path} 'points'")
+        generators = [[_integer(x, f"{path} generator {k}") for x in p]
+                      for k, p in enumerate(data["generators"])]
+    except (KeyError, TypeError) as exc:
         raise DescriptorError(f"{path}: needs integer 'points' and 'generators'") from exc
-    if not isinstance(generators, list):
-        raise DescriptorError(f"{path}: 'generators' must be a list of permutations")
     try:
         group = generate_group(generators, order_cap=order_cap)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
     if group.points != points:
         raise DescriptorError(
@@ -80,9 +88,9 @@ def load_group(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def load_representation(path, group: FiniteGroup) -> OrthogonalRepresentation:
     data = _load_json(path)
     try:
-        dim = int(data["dim"])
+        dim = _integer(data["dim"], f"{path} 'dim'")
         raw = data["generator_matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise DescriptorError(
             f"{path}: needs integer 'dim' and 'generator_matrices'"
         ) from exc
@@ -120,8 +128,8 @@ def _local_from_dict(data: dict, rep: OrthogonalRepresentation, where: str):
         )
     if kind == "degree":
         try:
-            return DeclaredLocalMap(int(data["d"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return DeclaredLocalMap(_integer(data["d"], f"{where} 'd'"))
+        except KeyError as exc:
             raise DescriptorError(f"{where}: declared local map needs integer 'd'") from exc
     raise DescriptorError(f"{where}: unknown local map type {kind!r}")
 

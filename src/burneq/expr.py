@@ -16,6 +16,7 @@ double; exactness lives elsewhere (linear-variant pieces), not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -249,7 +250,11 @@ def _ev(node: Node, point: Sequence[float]) -> float:
     if isinstance(node, Neg):
         return -_ev(node.operand, point)
     if isinstance(node, Pow):
-        return _ev(node.base, point) ** node.exponent
+        base = _ev(node.base, point)
+        try:
+            return base ** node.exponent
+        except OverflowError:  # IEEE overflow gives infinity, as it does for * and +
+            return -math.inf if base < 0 and node.exponent % 2 else math.inf
     left = _ev(node.left, point)
     right = _ev(node.right, point)
     if node.op == "+":

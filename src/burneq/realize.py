@@ -24,9 +24,8 @@ from .linalg import Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
     fixed_subspace,
-    isotropy,
     orbit,
-    point_with_exact_isotropy,
+    witness_points,
 )
 
 
@@ -51,32 +50,6 @@ def signed_linear_block(dim: int, sign: int) -> Matrix:
     )
 
 
-def _witness_points(rep: OrthogonalRepresentation, subgroup, count: int) -> list[Vector]:
-    """`count` points with exact isotropy, pairwise on distinct orbits."""
-    first = point_with_exact_isotropy(rep, subgroup)
-    if count == 1:
-        return [first]
-    fs = fixed_subspace(rep, subgroup)
-    d = fs.dim_fixed
-    chosen: list[Vector] = []
-    taken: set[Vector] = set()
-    t = 0
-    cap = 64 * rep.group.order * max(rep.dim, 1) * count
-    while len(chosen) < count:
-        t += 1
-        if t > cap:
-            raise AssertionError("witness ladder exhausted on a nonempty stratum")
-        x = tuple(
-            sum(Fraction(t) ** (k + 1) * b[j] for k, b in enumerate(fs.basis))
-            for j in range(rep.dim)
-        )
-        if x in taken or isotropy(rep, x) != subgroup:
-            continue
-        chosen.append(x)
-        taken.update(orbit(rep, x))
-    return chosen
-
-
 def realize_element(target: RealizationTarget) -> PolystandardMap:
     """A strictly polystandard map whose degree equals the target element."""
     rep = target.rep
@@ -88,7 +61,6 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
         )
     classes = subgroup_classes(group)
     labels = class_labels(group)
-    dim_fixed_full = fixed_subspace(rep, classes[-1].representative).dim_fixed
 
     placements: list[tuple[Vector, Matrix]] = []
     for cls, coeff in zip(classes, target.element.coeffs):
@@ -97,18 +69,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
         sub = cls.representative
         d = fixed_subspace(rep, sub).dim_fixed
         try:
-            if d == 0:
-                # only the origin can carry this class, one unit germ at most
-                points = [point_with_exact_isotropy(rep, sub)]
-                if coeff != 1:
-                    raise InfeasibleCoefficient(
-                        f"coefficient of [G/{labels[cls.class_index]}] must be 0 "
-                        f"or 1 when dim V^G = {dim_fixed_full}",
-                        kind="unit-coefficient",
-                        class_index=cls.class_index,
-                    )
-            else:
-                points = _witness_points(rep, sub, abs(coeff))
+            points = witness_points(rep, sub, abs(coeff) if d else 1)
         except EmptyOrbitTypeStratum as exc:
             raise InfeasibleCoefficient(
                 f"class [G/{labels[cls.class_index]}] has an empty stratum "
@@ -116,6 +77,14 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
                 kind="empty-stratum",
                 class_index=cls.class_index,
             ) from exc
+        if d == 0 and coeff != 1:
+            # then H = G and only the origin can carry it, one unit germ at most
+            raise InfeasibleCoefficient(
+                f"coefficient of [G/{labels[cls.class_index]}] must be 0 "
+                "or 1 when dim V^G = 0",
+                kind="unit-coefficient",
+                class_index=cls.class_index,
+            )
         block = signed_linear_block(d, 1 if coeff > 0 else -1)
         placements.extend((x, block) for x in points)
 
@@ -136,7 +105,6 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
 
 __all__ = [
     "RealizationTarget",
-    "point_with_exact_isotropy",
     "realize_element",
     "signed_linear_block",
 ]

@@ -5,9 +5,11 @@ with A_g kept as sparse rows of (column, coefficient) pairs and D common to
 the group. A monomial (signed-permutation) row has one pair, so applying it
 is an index shuffle; a dense rational row is the same code with more pairs.
 `orbit` and `isotropy` clear a point's denominators once, x = X / s, and
-compare the integer images A_g X, which share the scale D * s. The exact
+compare the integer images A_g X, which share the scale D * s; `direct_sum`
+stacks the rows of two validated blocks over one denominator. The exact
 Fraction matrices (`matrices`, used by `apply`) are derived on first use;
 tests check the integer kernel against them. Floats never enter here.
+Witness points all come from the one ladder of `witness_points`.
 Representations that need irrational matrices must be fed in through a
 rational orthogonal form; embedding in a permutation representation always
 works.
@@ -59,11 +61,16 @@ class OrthogonalRepresentation:
         self.denom = denom
         self.label = label
         self._fixed_cache: dict[tuple[int, ...], FixedSubspace] = {}
+        self._occupied_cache: tuple[OrbitTypeEntry, ...] | None = None
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
         """rho(g) as exact Fraction matrices, in element order."""
-        return tuple(_dense(rows, self.denom, self.dim) for rows in self.rows)
+        return tuple(
+            tuple(tuple(Fraction(row.get(j, 0), self.denom) for j in range(self.dim))
+                  for row in map(dict, rows))
+            for rows in self.rows
+        )
 
     def apply(self, g: int, v: Vector) -> Vector:
         return linalg.matvec(self.matrices[g], v)
@@ -141,12 +148,6 @@ def _transpose(rows: IntMatrix, dim: int) -> IntMatrix:
         for j, c in row:
             cols[j].append((i, c))
     return tuple(map(tuple, cols))
-
-
-def _dense(rows: IntMatrix, denom: int, dim: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(row.get(j, 0), denom) for j in range(dim)) for row in map(dict, rows)
-    )
 
 
 def build_representation(group: FiniteGroup, generator_matrices,
@@ -230,13 +231,14 @@ def direct_sum(a: OrthogonalRepresentation,
     """Block-diagonal sum of two representations of the same group."""
     if a.group is not b.group:
         raise GroupMismatch("representations of different groups")
-    zero = Fraction(0)
-    gens = []
-    for ge in a.group.generator_indices:
-        top = [row + (zero,) * b.dim for row in _dense(a.rows[ge], a.denom, a.dim)]
-        bottom = [(zero,) * a.dim + row for row in _dense(b.rows[ge], b.denom, b.dim)]
-        gens.append(tuple(top + bottom))
-    return build_representation(a.group, gens)
+    denom = lcm(a.denom, b.denom)
+    sa, sb = denom // a.denom, denom // b.denom
+    rows = tuple(
+        tuple(tuple((j, c * sa) for j, c in row) for row in ra)
+        + tuple(tuple((a.dim + j, c * sb) for j, c in row) for row in rb)
+        for ra, rb in zip(a.rows, b.rows)
+    )
+    return OrthogonalRepresentation(a.group, a.dim + b.dim, rows, denom)
 
 
 # ---------------------------------------------------------------- fixed spaces
@@ -292,64 +294,76 @@ def orbit(rep: OrthogonalRepresentation, point) -> tuple[Vector, ...]:
     )
 
 
-def point_with_exact_isotropy(rep: OrthogonalRepresentation,
-                              subgroup: Subgroup) -> Vector:
-    """A rational point whose stabilizer is exactly the given subgroup.
+def _stratum_empty(rep: OrthogonalRepresentation, subgroup: Subgroup) -> bool:
+    """Whether no point has isotropy exactly the subgroup H.
 
-    The stratum is empty iff some strictly larger subgroup fixes the whole
-    of V^H, which is decided exactly by comparing fixed-space dimensions
-    (a finite union of proper subspaces cannot cover a rational space).
-    When the stratum is nonempty, candidates x_t = sum_k t^k b_k over the
-    fixed-space basis are walked for t = 1, 2, ...; each proper subspace
-    can absorb at most dim V^H of them, so the ladder provably terminates.
+    That holds iff some strictly larger subgroup fixes the whole of V^H,
+    which comparing fixed-space dimensions decides exactly (a finite union
+    of proper subspaces cannot cover a rational space).
+    """
+    d = fixed_subspace(rep, subgroup).dim_fixed
+    return any(subgroup.members < k.members and fixed_subspace(rep, k).dim_fixed == d
+               for k in all_subgroups(rep.group))
+
+
+def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
+                   count: int = 1) -> list[Vector]:
+    """`count` points with stabilizer exactly the subgroup, on distinct orbits.
+
+    Candidates x_t = sum_k t^(k+1) b_k over the basis of V^H are walked for
+    t = 1, 2, ..., skipping any point with a larger stabilizer or on the
+    orbit of an earlier pick. A proper subspace of V^H holds fewer than
+    d = dim V^H ladder points and distinct t give distinct points, so on a
+    nonempty stratum d * (#subgroups + count * |G|) steps suffice.
     """
     fs = fixed_subspace(rep, subgroup)
     d = fs.dim_fixed
     group = rep.group
-    subs = all_subgroups(group)
     label = class_labels(group)[fs.class_index]
-    for k in subs:
-        if subgroup.members < k.members and fixed_subspace(rep, k).dim_fixed == d:
-            raise EmptyOrbitTypeStratum(
-                f"no point has isotropy exactly ({label}): its fixed space is "
-                f"covered by a larger subgroup"
-            )
+    if _stratum_empty(rep, subgroup):
+        raise EmptyOrbitTypeStratum(
+            f"no point has isotropy exactly ({label}): its fixed space is "
+            f"covered by a larger subgroup"
+        )
     if d == 0:
         # only reachable for the whole group; everything smaller was caught above
-        return tuple(Fraction(0) for _ in range(rep.dim))
-    cap = max(8 * group.order * rep.dim, d * len(subs) + 1)
-    for t in range(1, cap + 1):
+        if count > 1:
+            raise ValueError(f"the origin is the only orbit with isotropy ({label})")
+        return [tuple(Fraction(0) for _ in range(rep.dim))]
+    points: list[Vector] = []
+    taken: set[Vector] = set()
+    for t in range(1, d * (len(all_subgroups(group)) + count * group.order) + 1):
         x = tuple(
             sum(Fraction(t) ** (k + 1) * b[j] for k, b in enumerate(fs.basis))
             for j in range(rep.dim)
         )
-        if isotropy(rep, x) == subgroup:
-            return x
+        if x in taken or isotropy(rep, x) != subgroup:
+            continue
+        points.append(x)
+        if len(points) == count:
+            return points
+        taken.update(orbit(rep, x))
     raise AssertionError("witness ladder exhausted on a nonempty stratum")
+
+
+def point_with_exact_isotropy(rep: OrthogonalRepresentation,
+                              subgroup: Subgroup) -> Vector:
+    """A rational point whose stabilizer is exactly the given subgroup."""
+    return witness_points(rep, subgroup)[0]
 
 
 def orbit_types(rep: OrthogonalRepresentation) -> OrbitTypeTable:
     """Fixed-space dimension and occupancy for every subgroup class."""
     entries = []
     for cls in subgroup_classes(rep.group):
-        fs = fixed_subspace(rep, cls.representative)
-        try:
-            point_with_exact_isotropy(rep, cls.representative)
-            occupied = True
-        except EmptyOrbitTypeStratum:
-            occupied = False
-        entries.append(
-            OrbitTypeEntry(
-                class_index=cls.class_index, dim_fixed=fs.dim_fixed, occupied=occupied
-            )
-        )
+        sub = cls.representative
+        entries.append(OrbitTypeEntry(cls.class_index, fixed_subspace(rep, sub).dim_fixed,
+                                      not _stratum_empty(rep, sub)))
     return OrbitTypeTable(entries=tuple(entries))
 
 
 def occupied_classes(rep: OrthogonalRepresentation) -> tuple[OrbitTypeEntry, ...]:
     """The occupied rows of the orbit-type table, cached on the representation."""
-    cached = getattr(rep, "_occupied_cache", None)
-    if cached is None:
-        cached = tuple(e for e in orbit_types(rep).entries if e.occupied)
-        rep._occupied_cache = cached  # type: ignore[attr-defined]
-    return cached
+    if rep._occupied_cache is None:
+        rep._occupied_cache = tuple(e for e in orbit_types(rep).entries if e.occupied)
+    return rep._occupied_cache

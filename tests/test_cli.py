@@ -1,9 +1,11 @@
 """CLI golden outputs and exit codes (runs main() in process)."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from burneq import cli
 from burneq.cli import main
 
 S3_GROUP = '{"points": 3, "generators": [[1,0,2],[1,2,0]]}'
@@ -193,3 +195,40 @@ def test_malformed_rep_descriptor_is_a_one_line_error(files, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fractional_declared_index_is_a_one_line_error(files, capsys):
+    bad = files["dir"] / "bad_map.json"
+    bad.write_text(
+        '{"rep": null, "pieces": [{"base_point": ["1"], "radius": "1/4", '
+        '"epsilon": "1/4", "local": {"type": "degree", "d": 1.5}}]}',
+        encoding="utf-8",
+    )
+    code = main(["degree", "-g", files["z2"], "-r", files["sign"], "-m", str(bad)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fractional_generator_image_is_a_one_line_error(files, capsys):
+    bad = files["dir"] / "bad_group.json"
+    bad.write_text('{"points": 3, "generators": [[1, 0, 2.5]]}', encoding="utf-8")
+    code = main(["group", "-g", str(bad)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_failure_is_an_assertion_with_exit_three(files, capsys, monkeypatch):
+    monkeypatch.setattr(cli.degree, "verify_product", lambda f, g: SimpleNamespace(equal=False))
+    argv = ["check", "-g", files["z2"], "-r", files["sign"], "--pairs", "2"]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(AssertionError, match="2 self-check failures"):
+        args.func(args)
+    capsys.readouterr()
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "product fuzz: 2 pairs, seed 0, 2 FAILED" in out
+    assert err == "internal error: 2 self-check failures\n"

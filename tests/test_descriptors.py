@@ -196,3 +196,40 @@ def test_map_local_not_an_object(tmp_path):
     }
     with pytest.raises(DescriptorError):
         descriptors.load_map(write(tmp_path / "m.json", payload), rep)
+
+
+@pytest.mark.parametrize("payload", [
+    {"points": 3, "generators": [[1, 0, 2.5]]},
+    {"points": 3, "generators": [[True, 0, 2]]},
+    {"points": 3, "generators": [[1.0, 0, 2]]},
+    {"points": 3.0, "generators": [[1, 0, 2]]},
+    {"points": True, "generators": [[0]]},
+    {"points": "3", "generators": [[1, 0, 2]]},
+])
+def test_group_integers_are_exact(tmp_path, payload):
+    with pytest.raises(DescriptorError):
+        descriptors.load_group(write(tmp_path / "g.json", payload))
+
+
+@pytest.mark.parametrize("dim", [1.5, 1.0, True, "1"])
+def test_rep_dim_must_be_an_integer(tmp_path, dim):
+    group = descriptors.load_group(
+        write(tmp_path / "g.json", {"points": 2, "generators": [[1, 0]]})
+    )
+    rep_payload = {"dim": dim, "generator_matrices": [[["-1"]]]}
+    with pytest.raises(DescriptorError):
+        descriptors.load_representation(write(tmp_path / "r.json", rep_payload), group)
+
+
+@pytest.mark.parametrize("d", [1.5, 1.0, True, "1", None])
+def test_declared_index_must_be_an_integer(tmp_path, d):
+    group = descriptors.load_group(
+        write(tmp_path / "g.json", {"points": 2, "generators": [[1, 0]]})
+    )
+    rep = descriptors.load_representation(
+        write(tmp_path / "r.json", {"dim": 1, "generator_matrices": [[["-1"]]]}), group
+    )
+    payload = {"pieces": [{"base_point": ["1"], "radius": "1/4", "epsilon": "1/4",
+                           "local": {"type": "degree", "d": d}}]}
+    with pytest.raises(DescriptorError):
+        descriptors.load_map(write(tmp_path / "m.json", payload), rep)

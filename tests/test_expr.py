@@ -1,5 +1,6 @@
 """Expression parsing, printing, evaluation, and the FD Jacobian."""
 
+import math
 import random
 
 import pytest
@@ -199,3 +200,9 @@ def test_jacobian_matches_symbolic_oracle_on_fifty_systems():
                 scale = max(1.0, abs(sym[i][j]))
                 assert abs(fd[i][j] - sym[i][j]) <= 1e-5 * scale
         checked += 1
+
+
+def test_power_overflow_is_ieee_infinity():
+    assert expr.evaluate(expr.parse("x1^1100", 1), [2.0]) == math.inf
+    assert expr.evaluate(expr.parse("x1^1101", 1), [-2.0]) == -math.inf
+    assert expr.evaluate(expr.parse("x1^1100", 1), [-2.0]) == math.inf

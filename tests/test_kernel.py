@@ -3,7 +3,9 @@
 `orbit` and `isotropy` run on integer rows with cleared denominators; here
 they are recomputed with `linalg.matvec` on the Fraction matrices. The
 orbit-level spacing and overlap checks are compared with all-pairs minima
-kept in this file.
+kept in this file, `direct_sum` with a validated build of the dense block
+matrices, the one-row enumeration of diagonal orbits with a walk over all
+rows, and the witness ladder with brute-force isotropy and orbits.
 """
 
 import itertools
@@ -14,9 +16,10 @@ import pytest
 
 import burneq as bq
 import burneq.linalg as la
+from burneq import fuzz
 from burneq.degree import DeclaredLocalMap, StandardPiece
-from burneq.errors import DimensionMismatch, OverlappingPieces
-from groupdata import make_group, make_rep
+from burneq.errors import DimensionMismatch, EmptyOrbitTypeStratum, OverlappingPieces
+from groupdata import PRODUCT_CORPUS_REPS, make_group, make_rep
 
 # the three-four-five rotation; conjugating by it makes rows dense rational
 ROTATION = la.mat([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
@@ -153,11 +156,11 @@ def test_overlap_check_agrees_with_all_pairs(name):
         # tubes around half the closest approach, so some pairs just touch
         half = la.rational_sqrt_floor(closest) / 2 if closest else Fraction(1)
         pieces = []
-        for x in bases:
+        for x, orb in zip(bases, orbits):
             tube = half * (1 + Fraction(rng.randint(-2, 2), 64))
             epsilon = tube * Fraction(rng.randint(1, 3), 4)
             pieces.append(StandardPiece(x, bq.isotropy(rep, x), tube - epsilon, epsilon,
-                                        DeclaredLocalMap(1)))
+                                        DeclaredLocalMap(1), orb))
         expected = brute_overlap(rep, pieces)
         try:
             bq.polystandard_map(rep, pieces)
@@ -167,3 +170,95 @@ def test_overlap_check_agrees_with_all_pairs(name):
         assert raised == expected
         outcomes.add(raised)
     assert outcomes == {True, False}
+
+
+def test_polystandard_map_rejects_piece_of_wrong_dimension():
+    piece = bq.standard_piece(make_rep("S3-perm"), [1, 1, 0], DeclaredLocalMap(1))
+    with pytest.raises(DimensionMismatch):
+        bq.polystandard_map(make_rep("S3-regular"), (piece,))
+
+
+# ---------------------------------------------------------------- direct sums
+
+def block_sum_oracle(a, b):
+    """The block sum through `build_representation` of dense Fraction generators."""
+    zero = Fraction(0)
+    gens = []
+    for ge in a.group.generator_indices:
+        top = [row + (zero,) * b.dim for row in a.matrices[ge]]
+        bottom = [(zero,) * a.dim + row for row in b.matrices[ge]]
+        gens.append(top + bottom)
+    return bq.build_representation(a.group, gens)
+
+
+GROUPDATA_REPS = ["Z2-sign", "V4-signs", "S3-perm", "S3-regular", "D4-standard"]
+SUM_PAIRS = [(name, name) for name in GROUPDATA_REPS] + [
+    ("S3-rotated", "S3-perm"), ("S3-perm", "S3-rotated"), ("S3-rotated", "S3-regular"),
+    ("D4-rotated", "D4-standard"), ("D4-standard", "D4-rotated"),
+    ("D4-rotated", "D4-rotated"), ("Z2-reflection", "Z2-sign"),
+]
+
+
+@pytest.mark.parametrize("left,right", SUM_PAIRS)
+def test_direct_sum_matches_dense_block_build(left, right):
+    a, b = kernel_rep(left), kernel_rep(right)
+    fast, oracle = bq.direct_sum(a, b), block_sum_oracle(a, b)
+    assert fast.dim == oracle.dim == a.dim + b.dim
+    assert fast.matrices == oracle.matrices
+    assert (fast.rows, fast.denom) == (oracle.rows, oracle.denom)
+
+
+# ---------------------------------------------------------------- products
+
+def all_rows_base_points(f, g):
+    """Diagonal orbit base points in the order a walk over every pair (y, z) meets them."""
+    sum_rep = bq.direct_sum(f.rep, g.rep)
+    points = []
+    for p in f.pieces:
+        for q in g.pieces:
+            covered = set()
+            for y in brute_orbit(f.rep, p.base_point):
+                for z in brute_orbit(g.rep, q.base_point):
+                    if y + z not in covered:
+                        covered.update(brute_orbit(sum_rep, y + z))
+                        points.append(y + z)
+    return points
+
+
+@pytest.mark.parametrize("left,right", [(name, name) for name in PRODUCT_CORPUS_REPS]
+                         + [("S3-perm", "S3-rotated"), ("S3-regular", "S3-perm")])
+def test_product_pieces_match_all_rows_enumeration(left, right):
+    rng = random.Random(f"product {left} {right}")
+    a, b = kernel_rep(left), kernel_rep(right)
+    for _ in range(3):
+        f = fuzz.random_polystandard_map(a, rng)
+        g = fuzz.random_polystandard_map(b, rng)
+        prod = bq.product_map(f, g)
+        assert [p.base_point for p in prod.pieces] == all_rows_base_points(f, g)
+        for p in prod.pieces:
+            assert p.orbit == brute_orbit(prod.rep, p.base_point)
+
+
+# ---------------------------------------------------------------- witness ladder
+
+@pytest.mark.parametrize("name", KERNEL_REPS)
+def test_witness_points_exact_and_on_distinct_orbits(name):
+    rep = kernel_rep(name)
+    for cls in bq.subgroup_classes(rep.group):
+        sub = cls.representative
+        try:
+            first = bq.point_with_exact_isotropy(rep, sub)
+        except EmptyOrbitTypeStratum:
+            with pytest.raises(EmptyOrbitTypeStratum):
+                bq.witness_points(rep, sub, 3)
+            continue
+        if bq.fixed_subspace(rep, sub).dim_fixed == 0:
+            assert bq.witness_points(rep, sub) == [first]
+            with pytest.raises(ValueError):
+                bq.witness_points(rep, sub, 2)
+            continue
+        points = bq.witness_points(rep, sub, 4)
+        assert len(points) == 4 and points[0] == first
+        assert all(brute_isotropy(rep, x) == sub.element_set for x in points)
+        orbits = [set(brute_orbit(rep, x)) for x in points]
+        assert all(not a & b for a, b in itertools.combinations(orbits, 2))
