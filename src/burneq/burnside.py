@@ -9,7 +9,9 @@ triangular solve. `decompose_gset` is the independent brute-force route
 Mark convention: marks[i][j] = |(G/H_i)^{H_j}|, the number of cosets of the
 class-i representative fixed by the class-j representative. With classes in
 canonical order the matrix is lower triangular with the Weyl group orders on
-the diagonal.
+the diagonal. The marks are counted from class members and cached on the
+group (`FiniteGroup.marks`); the coset G-sets below never enter them, so
+they stay an independent check.
 """
 
 from __future__ import annotations
@@ -182,34 +184,14 @@ def decompose_gset(x: FiniteGSet) -> BurnsideElement:
 # ---------------------------------------------------------------- marks
 
 def table_of_marks(group: FiniteGroup) -> TableOfMarks:
-    cached = group._cache.get("marks")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    classes = subgroup_classes(group)
-    mult = group.mult_table
-    rows: list[tuple[int, ...]] = []
-    for ci in classes:
-        gset = coset_gset(group, ci.representative)
-        # a coset is fixed by K exactly when every k in K keeps it in place
-        row = []
-        for cj in classes:
-            kelems = cj.representative.element_set
-            count = 0
-            for p in range(gset.size):
-                if all(gset.action[k][p] == p for k in kelems):
-                    count += 1
-            row.append(count)
-        rows.append(tuple(row))
-    result = TableOfMarks(group=group, marks=tuple(rows))
-    group._cache["marks"] = result
-    return result
+    return TableOfMarks(group=group, marks=group.marks)
 
 
 def mark_vector(x: BurnsideElement) -> tuple[int, ...]:
     """Image of x under the mark homomorphism, one integer per class."""
     marks = table_of_marks(x.group).marks
-    n = len(marks)
-    return tuple(sum(marks[i][j] * x.coeffs[i] for i in range(n)) for j in range(n))
+    terms = [(row, c) for row, c in zip(marks, x.coeffs) if c]
+    return tuple(sum(row[j] * c for row, c in terms) for j in range(len(marks)))
 
 
 def _coeffs_from_marks(group: FiniteGroup, mk: tuple[int, ...]) -> tuple[int, ...]:

@@ -235,6 +235,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.pairs < 0:
+        raise DescriptorError(f"--pairs must not be negative, got {args.pairs}")
     group = _load_group(args)
     classes = subgroup_classes(group)
     failures = 0

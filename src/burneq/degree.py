@@ -230,6 +230,9 @@ def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
     n = GRID_POINTS
     half = (n - 1) // 2
     steps = [r * (i - half) / half for i in range(n)]
+    if any(all(x + steps[half + 1] * c == x for x, c in zip(base, b)) for b in bf):
+        raise InvalidPiece("radius is below floating-point resolution at the base point; "
+                           "use a linear or declared local map")
 
     values: dict[tuple[int, ...], tuple[float, ...]] = {}
     r2 = r * r

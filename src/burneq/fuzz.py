@@ -8,6 +8,7 @@ seed.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from . import linalg
@@ -18,7 +19,6 @@ from .degree import (
     PolystandardMap,
     StandardPiece,
     polystandard_map,
-    standard_piece,
 )
 from .group import subgroup_classes
 from .linalg import Matrix
@@ -70,9 +70,9 @@ def _mutate_piece(rep: OrthogonalRepresentation, piece: StandardPiece,
         local = LinearLocalMap(random_nonsingular_matrix(rng, d))
     else:
         return piece
-    return standard_piece(
-        rep, piece.base_point, local, radius=piece.radius, epsilon=piece.epsilon
-    )
+    # same base point, and a d x d nonsingular block or a declared index at
+    # d > 0 passes every local-map check, so the validated piece carries over
+    return replace(piece, local=local)
 
 
 def random_polystandard_map(rep: OrthogonalRepresentation, rng: random.Random,

@@ -1,9 +1,10 @@
 """Finite permutation groups: closure from generators and subgroup structure.
 
-Group elements are integers 0..order-1 with 0 the identity; the whole group
-law lives in an explicit multiplication table built once from the permutation
-generators. Subgroups, conjugacy classes of subgroups, normalizers and Weyl
-data are all derived from that table and cached on the group object.
+Group elements are integers 0..order-1 with 0 the identity, numbered by the
+closure of the permutation generators, which is all a constructor computes.
+Everything derived from it (multiplication table, inverses, subgroups as
+bitmask joins of cyclic subgroups, their classes, labels, and marks counted
+from class members) is a lazy `cached_property` on the group.
 
 The class order is canonical and deterministic: ascending subgroup order,
 ties broken by the sorted element set of the lexicographically smallest
@@ -24,7 +25,7 @@ Perm = tuple[int, ...]
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Composition p after q: x goes to p[q[x]]."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def _check_perm(p: Perm, npoints: int) -> None:
@@ -35,9 +36,10 @@ def _check_perm(p: Perm, npoints: int) -> None:
 class FiniteGroup:
     """A finite group presented by permutation generators.
 
-    Built through `generate_group`; immutable once constructed. The map from
-    element indices to permutations is an injective homomorphism, with
-    mult_table[a][b] the index of perm_a composed after perm_b.
+    Built through `generate_group`, which fixes the closure; everything else
+    is derived from it on first use and kept. The map from element indices
+    to permutations is an injective homomorphism, with mult_table[a][b] the
+    index of perm_a composed after perm_b.
     """
 
     def __init__(self, generator_perms, order_cap: int = DEFAULT_ORDER_CAP):
@@ -52,19 +54,15 @@ class FiniteGroup:
         elems: list[Perm] = [ident]
         index: dict[Perm, int] = {ident: 0}
         construction: list[tuple[int, int]] = [(0, -1)]
-        i = 0
-        while i < len(elems):
+        for i, e in enumerate(elems):  # visits the elements appended meanwhile too
             for gi, g in enumerate(perms):
-                w = compose(elems[i], g)
+                w = compose(e, g)
                 if w not in index:
                     if len(elems) >= order_cap:
-                        raise OrderCapExceeded(
-                            f"group order exceeds cap {order_cap}"
-                        )
+                        raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
                     index[w] = len(elems)
                     elems.append(w)
                     construction.append((i, gi))
-            i += 1
 
         self.points = npoints
         self.generator_perms: tuple[Perm, ...] = tuple(perms)
@@ -72,20 +70,90 @@ class FiniteGroup:
         self.order = len(elems)
         self.construction: tuple[tuple[int, int], ...] = tuple(construction)
         self.generator_indices: tuple[int, ...] = tuple(index[p] for p in perms)
-        self.mult_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(index[compose(a, b)] for b in elems) for a in elems
+
+    @cached_property
+    def mult_table(self) -> tuple[tuple[int, ...], ...]:
+        elems = self.element_perms
+        index = {p: i for i, p in enumerate(elems)}
+        return tuple(tuple(index[compose(a, b)] for b in elems) for a in elems)
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        return tuple(row.index(0) for row in self.mult_table)
+
+    @cached_property
+    def subgroups(self) -> tuple[Subgroup, ...]:
+        """Every subgroup is the join of its cyclic subgroups, so joining each
+        one found with each cyclic subgroup outside it reaches them all (joins
+        by normalizing elements only would miss perfect ones, e.g. A5 in S5).
+        """
+        mult = self.mult_table
+        cyclic: dict[int, int] = {}  # mask -> smallest generator
+        for g in range(self.order):
+            cyclic.setdefault(_generate(mult, (g,)), g)
+        found: dict[int, tuple[int, ...]] = {1: ()}  # mask -> generators
+        queue = [1]
+        for h in queue:
+            for c, g in cyclic.items():
+                if c & ~h:
+                    gens = found[h] + (g,)
+                    k = _generate(mult, gens)
+                    if k not in found:
+                        found[k] = gens
+                        queue.append(k)
+        return tuple(
+            Subgroup(t) for t in sorted(map(_elements, found), key=lambda t: (len(t), t))
         )
-        inverse = [0] * self.order
-        for a in range(self.order):
-            inverse[a] = self.mult_table[a].index(0)
-        self.inverse: tuple[int, ...] = tuple(inverse)
-        self._cache: dict[str, object] = {}
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult_table[a][b]
+    @cached_property
+    def classes(self) -> tuple[SubgroupClass, ...]:
+        """Subgroups come sorted, so each class is met first at its smallest member."""
+        subs = all_subgroups(self)
+        position = {s.element_set: i for i, s in enumerate(subs)}
+        classes: list[SubgroupClass] = []
+        assigned: set[int] = set()
+        for i, sub in enumerate(subs):
+            if i in assigned:
+                continue
+            conjugates = sorted({position[conjugate_subgroup(self, sub, g).element_set]
+                                 for g in range(self.order)})
+            assigned.update(conjugates)
+            classes.append(SubgroupClass(self, sub, tuple(subs[k] for k in conjugates),
+                                         len(classes)))
+        return tuple(classes)
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
+    @cached_property
+    def class_of(self) -> dict[frozenset[int], int]:
+        """Class index of every subgroup, keyed by its member set."""
+        return {m.members: c.class_index for c in subgroup_classes(self) for m in c.members}
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Per class: e, G, or the cycle strings of the representative's greedy generators."""
+        return tuple(
+            "e" if c.representative.order == 1
+            else "G" if c.representative.order == self.order
+            else ",".join(_cycle_string(self.element_perms[g])
+                          for g in _minimal_generators(self, c.representative))
+            for c in subgroup_classes(self)
+        )
+
+    @cached_property
+    def marks(self) -> tuple[tuple[int, ...], ...]:
+        """marks[i][j] = |(G/H_i)^{H_j}|, from the class-j members inside H_i.
+
+        gH is fixed by K when g^-1 K g <= H, and each conjugate of K is
+        g^-1 K g for |G| / |class j| elements g; cosets have |H_i| elements.
+        """
+        classes = subgroup_classes(self)
+        return tuple(
+            tuple(
+                self.order * sum(k.members <= h.members for k in cj.members)
+                // (len(cj.members) * h.order)
+                for cj in classes
+            )
+            for h in (ci.representative for ci in classes)
+        )
 
     def __repr__(self) -> str:
         return f"<FiniteGroup order={self.order} on {self.points} points>"
@@ -138,19 +206,21 @@ class WeylData:
     weyl_coset_reps: tuple[int, ...]
 
 
-def _closure_set(mult, seed) -> frozenset[int]:
-    """Multiplicative closure; in a finite group this is already a subgroup."""
-    elems = {0, *seed}
-    queue = list(elems)
-    while queue:
-        a = queue.pop()
+def _generate(mult, gens) -> int:
+    """Bitmask of the subgroup generated by gens, whose elements are words 1*g1*...*gk."""
+    mask, found = 1, [0]
+    for a in found:
         row = mult[a]
-        for b in tuple(elems):
-            for c in (row[b], mult[b][a]):
-                if c not in elems:
-                    elems.add(c)
-                    queue.append(c)
-    return frozenset(elems)
+        for g in gens:
+            c = row[g]
+            if not mask >> c & 1:
+                mask |= 1 << c
+                found.append(c)
+    return mask
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def is_subgroup(group: FiniteGroup, candidate: Subgroup) -> bool:
@@ -163,7 +233,7 @@ def is_subgroup(group: FiniteGroup, candidate: Subgroup) -> bool:
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     """The subgroup generated by the given element indices."""
-    return Subgroup(tuple(sorted(_closure_set(group.mult_table, elements))))
+    return Subgroup(_elements(_generate(group.mult_table, tuple(elements))))
 
 
 def conjugate_subgroup(group: FiniteGroup, subgroup: Subgroup, g: int) -> Subgroup:
@@ -173,79 +243,19 @@ def conjugate_subgroup(group: FiniteGroup, subgroup: Subgroup, g: int) -> Subgro
 
 
 def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup exactly once, sorted by (order, element_set).
-
-    Enumeration grows known subgroups one extra generator at a time, which
-    reaches every subgroup without touching the power set of G.
-    """
-    cached = group._cache.get("subgroups")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    mult = group.mult_table
-    trivial = frozenset({0})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in range(group.order):
-                if g in h:
-                    continue
-                k = _closure_set(mult, h | {g})
-                if k not in found:
-                    found.add(k)
-                    nxt.append(k)
-        frontier = nxt
-    subs = tuple(
-        Subgroup(t)
-        for t in sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
-    )
-    group._cache["subgroups"] = subs
-    return subs
+    """Every subgroup exactly once, sorted by (order, element_set)."""
+    return group.subgroups
 
 
 def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
     """Conjugacy classes of subgroups in canonical class order."""
-    cached = group._cache.get("classes")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    classes: list[SubgroupClass] = []
-    assigned: set[frozenset[int]] = set()
-    for sub in all_subgroups(group):
-        if sub.members in assigned:
-            continue
-        member_sets = {conjugate_subgroup(group, sub, g).members for g in range(group.order)}
-        members = tuple(
-            Subgroup(t) for t in sorted(tuple(sorted(s)) for s in member_sets)
-        )
-        assigned |= member_sets
-        # iteration over all_subgroups is already in (order, element_set)
-        # order, so `sub` is the lexicographically smallest member
-        classes.append(
-            SubgroupClass(
-                group=group,
-                representative=sub,
-                members=members,
-                class_index=len(classes),
-            )
-        )
-    result = tuple(classes)
-    group._cache["classes"] = result
-    return result
+    return group.classes
 
 
 def class_index_of(group: FiniteGroup, subgroup: Subgroup) -> int:
     """Canonical class index of an arbitrary subgroup."""
-    cached = group._cache.get("class_of")
-    if cached is None:
-        cached = {
-            member.members: cls.class_index
-            for cls in subgroup_classes(group)
-            for member in cls.members
-        }
-        group._cache["class_of"] = cached
     try:
-        return cached[subgroup.members]  # type: ignore[index]
+        return group.class_of[subgroup.members]
     except KeyError:
         raise NotASubgroup(f"{subgroup.element_set!r} is not a subgroup") from None
 
@@ -305,33 +315,13 @@ def _cycle_string(perm: Perm) -> str:
 
 def _minimal_generators(group: FiniteGroup, subgroup: Subgroup) -> list[int]:
     gens: list[int] = []
-    have: frozenset[int] = frozenset({0})
-    while have != subgroup.members:
-        g = min(x for x in subgroup.element_set if x not in have)
-        gens.append(g)
-        have = _closure_set(group.mult_table, have | {g})
+    have = 1
+    while have.bit_count() < subgroup.order:
+        gens.append(min(x for x in subgroup.element_set if not have >> x & 1))
+        have = _generate(group.mult_table, gens)
     return gens
 
 
 def class_labels(group: FiniteGroup) -> tuple[str, ...]:
     """Canonical text label per subgroup class, used in element strings."""
-    cached = group._cache.get("labels")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    labels: list[str] = []
-    for cls in subgroup_classes(group):
-        rep = cls.representative
-        if rep.order == 1:
-            labels.append("e")
-        elif rep.order == group.order:
-            labels.append("G")
-        else:
-            labels.append(
-                ",".join(
-                    _cycle_string(group.element_perms[g])
-                    for g in _minimal_generators(group, rep)
-                )
-            )
-    result = tuple(labels)
-    group._cache["labels"] = result
-    return result
+    return group.labels

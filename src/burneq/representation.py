@@ -61,7 +61,11 @@ class OrthogonalRepresentation:
         self.denom = denom
         self.label = label
         self._fixed_cache: dict[tuple[int, ...], FixedSubspace] = {}
-        self._occupied_cache: tuple[OrbitTypeEntry, ...] | None = None
+
+    @cached_property
+    def occupied(self) -> tuple[OrbitTypeEntry, ...]:
+        """The occupied rows of the orbit-type table."""
+        return tuple(e for e in orbit_types(self).entries if e.occupied)
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
@@ -364,6 +368,4 @@ def orbit_types(rep: OrthogonalRepresentation) -> OrbitTypeTable:
 
 def occupied_classes(rep: OrthogonalRepresentation) -> tuple[OrbitTypeEntry, ...]:
     """The occupied rows of the orbit-type table, cached on the representation."""
-    if rep._occupied_cache is None:
-        rep._occupied_cache = tuple(e for e in orbit_types(rep).entries if e.occupied)
-    return rep._occupied_cache
+    return rep.occupied

@@ -232,3 +232,28 @@ def test_check_failure_is_an_assertion_with_exit_three(files, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert "product fuzz: 2 pairs, seed 0, 2 FAILED" in out
     assert err == "internal error: 2 self-check failures\n"
+
+
+def test_negative_pairs_is_a_one_line_error(files, capsys):
+    code = main(["check", "-g", files["z2"], "-r", files["sign"], "--pairs", "-3"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("radius, code", [("1/1" + "0" * 400, 1), ("1/1" + "0" * 20, 1),
+                                          ("1/1000", 0)], ids=["1e-400", "1e-20", "1e-3"])
+def test_expression_radius_against_float_resolution(files, capsys, radius, code):
+    path = files["dir"] / "tiny.json"
+    path.write_text(json.dumps({"rep": None, "pieces": [{
+        "base_point": ["1"], "radius": radius, "epsilon": "1/4",
+        "local": {"type": "expr", "exprs": ["x1 - 1"]}}]}), encoding="utf-8")
+    assert main(["degree", "-g", files["z2"], "-r", files["sign"], "-m", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert "below floating-point resolution" in err
+        assert "linear or declared local map" in err
+    else:
+        assert out.splitlines()[0] == "deg = 1*[G/e]"

@@ -390,3 +390,20 @@ def test_independent_block_route_on_seeded_pairs():
                 recomputed = independent_product_index(f, g, sum_rep, piece)
                 assert recomputed == row.index_left * row.index_right
                 assert recomputed == row.index_product
+
+
+@pytest.mark.parametrize("name", [*PRODUCT_CORPUS_REPS, "S3-regular"])
+def test_mutated_piece_matches_a_full_rebuild(name):
+    rep = make_rep(name)
+    changed = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        f = fuzz.random_polystandard_map(rep, rng, mutate=False)
+        for piece in f.pieces:
+            mutated = fuzz._mutate_piece(rep, piece, rng)
+            rebuilt = bq.standard_piece(rep, piece.base_point, mutated.local,
+                                        radius=piece.radius, epsilon=piece.epsilon)
+            assert mutated == rebuilt
+            assert mutated.orbit == rebuilt.orbit
+            changed += mutated.local != piece.local
+    assert changed > 0

@@ -1,0 +1,100 @@
+"""Subgroup lattices and tables of marks on larger groups, against oracles.
+
+The marks are checked against fixed cosets counted directly in the coset
+G-set of each class representative, and the lattice sizes against the
+published numbers of subgroups and of their conjugacy classes.
+"""
+
+import random
+
+import pytest
+
+import burneq as bq
+from groupdata import GROUP_GENERATORS, MARKS_GROUPS, make_group
+
+LARGER_GROUPS = {
+    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [7, 6, 5, 4, 3, 2, 1, 0]],
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+    "S4xZ2": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
+    "A5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
+    "S5": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+}
+
+# (order, subgroups, conjugacy classes of subgroups)
+PUBLISHED = {
+    "D8": (16, 19, 11),
+    "S4": (24, 30, 11),
+    "S4xZ2": (48, 98, 33),
+    "A5": (60, 59, 9),
+    "S5": (120, 156, 19),
+}
+
+
+def group_named(name):
+    if name in GROUP_GENERATORS:
+        return make_group(name)
+    return bq.generate_group(LARGER_GROUPS[name])
+
+
+def fixed_coset_marks(group):
+    """marks[i][j]: points of G/H_i fixed by every element of H_j."""
+    classes = bq.subgroup_classes(group)
+    rows = []
+    for ci in classes:
+        gset = bq.coset_gset(group, ci.representative)
+        rows.append(tuple(
+            sum(all(gset.action[k][p] == p for k in cj.representative.element_set)
+                for p in range(gset.size))
+            for cj in classes
+        ))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("name", [*MARKS_GROUPS, "D8", "S4", "S4xZ2", "A5"])
+def test_marks_match_fixed_coset_count(name):
+    group = group_named(name)
+    assert bq.table_of_marks(group).marks == fixed_coset_marks(group)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED))
+def test_published_lattice_sizes(name):
+    group = group_named(name)
+    order, n_subgroups, n_classes = PUBLISHED[name]
+    assert group.order == order
+    assert len(bq.all_subgroups(group)) == n_subgroups
+    assert len(bq.subgroup_classes(group)) == n_classes
+
+
+def test_s5_lattice_contains_the_perfect_subgroup_a5():
+    s5 = group_named("S5")
+    (a5,) = [s for s in bq.all_subgroups(s5) if s.order == 60]
+    even = {g for g, p in enumerate(s5.element_perms)
+            if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0}
+    assert a5.members == even
+
+
+def brute_closure(group, elements):
+    """Oracle: multiply known elements pairwise until nothing new appears."""
+    found = {0, *elements}
+    while True:
+        new = {group.mult_table[a][b] for a in found for b in found} - found
+        if not new:
+            return tuple(sorted(found))
+        found |= new
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_subgroup_from_elements_matches_brute_closure(name):
+    group = group_named(name)
+    rng = random.Random(name)
+    for _ in range(20):
+        elements = rng.sample(range(group.order), rng.randint(1, 3))
+        sub = bq.subgroup_from_elements(group, elements)
+        assert sub.element_set == brute_closure(group, elements)
+        assert sub in bq.all_subgroups(group)
+
+
+def test_construction_derives_nothing_until_asked():
+    group = bq.generate_group(LARGER_GROUPS["S4"])
+    assert not {"mult_table", "inverse", "subgroups", "marks"} & set(vars(group))
+    assert bq.table_of_marks(group).marks is bq.table_of_marks(group).marks
