@@ -22,8 +22,12 @@ Products of maps over V and W live over the block sum V (+) W: each pair of
 zero orbits G y x G z splits into diagonal orbits, and every resulting piece
 carries the product of the two local indices as a declared index. Every
 diagonal orbit meets the row {y} x G z, where it is a G_y-orbit, so the
-diagonal orbits are enumerated from that one row. The independent
-block-determinant recomputation of that shortcut lives in the test suite.
+diagonal orbits are enumerated from that one row. The product is built
+directly, as `standard_piece` and `polystandard_map` validate outside input
+only; so `index_product` is d_left * d_right by construction, and
+`consistent`, always true, is kept for output stability. Criterion 3 and
+`test_independent_block_route_on_seeded_pairs` check the per-orbit law
+independently, from block determinants.
 """
 
 from __future__ import annotations
@@ -120,6 +124,10 @@ class DegreeResult:
 
 @dataclass(frozen=True)
 class OrbitProductRow:
+    """index_product is index_left * index_right by construction; consistent,
+    always true, is kept for output stability. Criterion 3 and
+    `test_independent_block_route_on_seeded_pairs` check the per-orbit law."""
+
     base_label: str
     class_index: int
     index_left: int
@@ -341,19 +349,17 @@ def expression_local_index(exprs: Sequence[Expr], base_point,
 
 def local_index(piece: StandardPiece, rep: OrthogonalRepresentation) -> int:
     """The integer degree of the local map at the base point."""
-    fs = fixed_subspace(rep, piece.isotropy)
     local = piece.local
     if isinstance(local, DeclaredLocalMap):
         return local.index
+    fs = fixed_subspace(rep, piece.isotropy)
+    if fs.dim_fixed == 0:
+        return 1
     if isinstance(local, LinearLocalMap):
-        if fs.dim_fixed == 0:
-            return 1
         det = linalg.det(local.matrix)
         if det == 0:
             raise SingularJacobian("linear block has determinant exactly zero")
         return 1 if det > 0 else -1
-    if fs.dim_fixed == 0:
-        return 1
     return expression_local_index(local.exprs, piece.base_point, fs.basis)
 
 
@@ -387,26 +393,21 @@ def existence_check(result: DegreeResult) -> bool:
 # ---------------------------------------------------------------- products
 
 def _product(f: PolystandardMap, g: PolystandardMap):
-    """The validated product map and the factor indices (d_left, d_right) of each piece."""
+    """The product map and the factor indices (d_left, d_right) of each piece."""
     if f.rep.group is not g.rep.group:
         raise GroupMismatch("maps over representations of different groups")
     sum_rep = direct_sum(f.rep, g.rep)
     if not f.pieces or not g.pieces:
-        return polystandard_map(sum_rep, ()), ()
+        return PolystandardMap(sum_rep, ()), ()
 
-    # the minimal nonzero distance between product points is realized with
-    # one factor held fixed, so the two factor spacings are enough
-    spacings = [
-        s
-        for s in (
-            linalg.min_orbit_spacing2([p.orbit for p in f.pieces]),
-            linalg.min_orbit_spacing2([q.orbit for q in g.pieces]),
-        )
-        if s is not None
-    ]
-    parent_cap = min(
-        min(p.radius, p.epsilon) for p in (*f.pieces, *g.pieces)
-    )
+    # the product needs no validation: two distinct product points differ in
+    # one factor, so their squared distance is at least s, the smaller of the
+    # two factor spacings; each tube is 2 * size with size^2 <= s / 32, so
+    # (4 * size)^2 <= s / 2 < s, and the same bound gives each piece's own
+    # check, 4 * size^2 < s
+    spacings = [s for s in (linalg.min_orbit_spacing2([p.orbit for p in m.pieces])
+                            for m in (f, g)) if s is not None]
+    parent_cap = min(min(p.radius, p.epsilon) for p in (*f.pieces, *g.pieces))
     size = parent_cap / 2
     if spacings:
         size = min(size, linalg.rational_sqrt_floor(min(spacings) / 32))
@@ -423,13 +424,13 @@ def _product(f: PolystandardMap, g: PolystandardMap):
             for z in orb_b:
                 if z in covered:
                     continue
-                piece = standard_piece(
-                    sum_rep, y + z, DeclaredLocalMap(da * db), radius=size, epsilon=size,
-                )
-                covered.update(w[n:] for w in piece.orbit if w[:n] == y)
-                pieces.append(piece)
+                x = y + z
+                points = orbit(sum_rep, x)
+                pieces.append(StandardPiece(x, isotropy(sum_rep, x), size, size,
+                                            DeclaredLocalMap(da * db), points))
+                covered.update(w[n:] for w in points if w[:n] == y)
                 indices.append((da, db))
-    return polystandard_map(sum_rep, pieces), tuple(indices)
+    return PolystandardMap(sum_rep, tuple(pieces)), tuple(indices)
 
 
 def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:
@@ -449,19 +450,17 @@ def verify_product(f: PolystandardMap, g: PolystandardMap) -> ProductCheck:
     left_result = deg_polystandard(f)
     right_result = deg_polystandard(g)
     rhs = ring_mul(left_result.value, right_result.value)
-    orbit_rows = []
-    for piece, (da, db) in zip(prod.pieces, indices):
-        dg = local_index(piece, prod.rep)
-        orbit_rows.append(
-            OrbitProductRow(
-                base_label=_point_label(piece.base_point),
-                class_index=class_index_of(prod.rep.group, piece.isotropy),
-                index_left=da,
-                index_right=db,
-                index_product=dg,
-                consistent=(dg == da * db),
-            )
+    orbit_rows = [
+        OrbitProductRow(
+            base_label=_point_label(piece.base_point),
+            class_index=class_index_of(prod.rep.group, piece.isotropy),
+            index_left=da,
+            index_right=db,
+            index_product=da * db,
+            consistent=True,
         )
+        for piece, (da, db) in zip(prod.pieces, indices)
+    ]
     return ProductCheck(
         lhs=product_result.value,
         rhs=rhs,

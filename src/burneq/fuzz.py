@@ -18,7 +18,6 @@ from .degree import (
     LinearLocalMap,
     PolystandardMap,
     StandardPiece,
-    polystandard_map,
 )
 from .group import subgroup_classes
 from .linalg import Matrix
@@ -87,5 +86,4 @@ def random_polystandard_map(rep: OrthogonalRepresentation, rng: random.Random,
     f = realize_element(RealizationTarget(element=target, rep=rep))
     if not mutate:
         return f
-    pieces = tuple(_mutate_piece(rep, p, rng) for p in f.pieces)
-    return polystandard_map(rep, pieces)
+    return replace(f, pieces=tuple(_mutate_piece(rep, p, rng) for p in f.pieces))

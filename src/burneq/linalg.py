@@ -2,7 +2,9 @@
 
 Matrices are tuples of row tuples of Fraction; vectors are tuples of
 Fraction. Everything here is pure and exact; floats appear only in
-`float_det`, which backs the numerical Jacobian path.
+`float_det`, which backs the numerical Jacobian path. Only what the package
+uses lives here; rank and row-space comparison, which only tests need, are
+built on `rref` in the test suite.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Canonical basis of the null space, one vector per free column."""
     if not m:
@@ -94,14 +92,6 @@ def kernel_basis(m: Matrix) -> list[Vector]:
             v[p] = -rows[r][f]
         basis.append(tuple(v))
     return basis
-
-
-def row_space_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    """Whether two vector lists span the same subspace."""
-    ra = rref(tuple(a))[0] if a else []
-    rb = rref(tuple(b))[0] if b else []
-    strip = lambda rows: [tuple(r) for r in rows if any(x != 0 for x in r)]
-    return strip(ra) == strip(rb)
 
 
 def det(m: Matrix) -> Fraction:

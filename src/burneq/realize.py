@@ -8,6 +8,10 @@ isotropy, and when dim V^G = 0 the coefficient of [G/G] can only be 0 or 1
 Realization places |c| pieces on distinct orbits inside the stratum of each
 class, each a signed diagonal block diag(sign c, 1, ..., 1), with radii
 shrunk below a quarter of the minimal spacing of all placed orbit points.
+The pieces are not re-validated: each witness point has the class
+representative as its exact isotropy, the points lie on distinct orbits,
+and with size^2 <= s / 32 for the spacing s of all placed points, tubes of
+2 * size stay apart.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from fractions import Fraction
 
 from . import linalg
 from .burnside import BurnsideElement
-from .degree import LinearLocalMap, PolystandardMap, polystandard_map, standard_piece
+from .degree import LinearLocalMap, PolystandardMap, StandardPiece
 from .errors import EmptyOrbitTypeStratum, InfeasibleCoefficient, ZeroDimNegative
-from .group import class_labels, subgroup_classes
+from .group import Subgroup, class_labels, subgroup_classes
 from .linalg import Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
@@ -62,7 +66,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
     classes = subgroup_classes(group)
     labels = class_labels(group)
 
-    placements: list[tuple[Vector, Matrix]] = []
+    placements: list[tuple[Vector, Subgroup, LinearLocalMap, tuple[Vector, ...]]] = []
     for cls, coeff in zip(classes, target.element.coeffs):
         if coeff == 0:
             continue
@@ -85,22 +89,15 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
                 kind="unit-coefficient",
                 class_index=cls.class_index,
             )
-        block = signed_linear_block(d, 1 if coeff > 0 else -1)
-        placements.extend((x, block) for x in points)
+        local = LinearLocalMap(signed_linear_block(d, 1 if coeff > 0 else -1))
+        placements.extend((x, sub, local, orbit(rep, x)) for x in points)
 
-    if not placements:
-        return polystandard_map(rep, ())
-
-    spacing2 = linalg.min_orbit_spacing2([orbit(rep, x) for x, _ in placements])
-    if spacing2 is None:
-        size = Fraction(1)
-    else:
-        size = linalg.rational_sqrt_floor(spacing2 / 32)
-    pieces = tuple(
-        standard_piece(rep, x, LinearLocalMap(block), radius=size, epsilon=size)
-        for x, block in placements
-    )
-    return polystandard_map(rep, pieces)
+    spacing2 = linalg.min_orbit_spacing2([orb for *_, orb in placements])
+    size = Fraction(1) if spacing2 is None else linalg.rational_sqrt_floor(spacing2 / 32)
+    return PolystandardMap(rep, tuple(
+        StandardPiece(x, sub, size, size, local, orb)
+        for x, sub, local, orb in placements
+    ))
 
 
 __all__ = [

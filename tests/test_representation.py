@@ -15,6 +15,18 @@ from burneq.errors import (
 from groupdata import PRODUCT_CORPUS_REPS, make_rep
 
 
+def rank(m):
+    return len(la.rref(m)[1])
+
+
+def row_space_equal(a, b):
+    """Whether two vector lists span the same subspace."""
+    ra = la.rref(tuple(a))[0] if a else []
+    rb = la.rref(tuple(b))[0] if b else []
+    strip = lambda rows: [tuple(r) for r in rows if any(x != 0 for x in r)]
+    return strip(ra) == strip(rb)
+
+
 # ---------------------------------------------------------------- build
 
 def test_sign_representation_accepted(z2):
@@ -75,14 +87,14 @@ def test_fixed_space_of_whole_group(s3_perm):
     whole = bq.all_subgroups(s3_perm.group)[-1]
     fs = bq.fixed_subspace(s3_perm, whole)
     assert fs.dim_fixed == 1
-    assert la.row_space_equal(fs.basis, [la.vec([1, 1, 1])])
+    assert row_space_equal(fs.basis, [la.vec([1, 1, 1])])
 
 
 def test_fixed_space_of_transposition(s3_perm):
     c2 = next(s for s in bq.all_subgroups(s3_perm.group) if s.order == 2)
     fs = bq.fixed_subspace(s3_perm, c2)
     assert fs.dim_fixed == 2
-    assert la.row_space_equal(fs.basis, [la.vec([1, 1, 0]), la.vec([0, 0, 1])])
+    assert row_space_equal(fs.basis, [la.vec([1, 1, 0]), la.vec([0, 0, 1])])
 
 
 def test_fixed_vectors_actually_fixed(s3_perm):
@@ -107,8 +119,8 @@ def test_projector_rank_cross_check(name):
                     projector[i][j] += weight * rep.matrices[h][i][j]
         delta = la.msub(la.mat(projector), la.identity(n))
         fs = bq.fixed_subspace(rep, sub)
-        assert fs.dim_fixed == n - la.rank(delta)
-        assert la.rank(la.mat(projector)) == fs.dim_fixed
+        assert fs.dim_fixed == n - rank(delta)
+        assert rank(la.mat(projector)) == fs.dim_fixed
 
 
 def test_nested_subgroups_have_nested_fixed_spaces(s3_perm):
