@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success (and equal sides for `product`), 1 input errors or a
-failed product check, 2 infeasible realization targets, 3 internal
-assertion failures.
+Exit codes: 0 success (and equal sides for `product`), 1 input errors
+(malformed flags included) or a failed product check, 2 infeasible
+realization targets, 3 internal assertion failures.
 """
 
 from __future__ import annotations
@@ -273,8 +273,15 @@ def cmd_check(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is an input error: one line on stderr, exit 1."""
+
+    def error(self, message):
+        raise DescriptorError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="burneq",
         description="Burnside ring arithmetic and equivariant degrees of "
         "polystandard maps",
@@ -333,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InfeasibleCoefficient, EmptyOrbitTypeStratum) as exc:
         reason = {

@@ -372,11 +372,15 @@ def deg_standard(piece: StandardPiece, rep: OrthogonalRepresentation) -> DegreeR
 
 def deg_polystandard(f: PolystandardMap) -> DegreeResult:
     """Sum of the per-piece degrees; zero-index pieces are dropped."""
+    return _degree(f, (local_index(p, f.rep) for p in f.pieces))
+
+
+def _degree(f: PolystandardMap, indices) -> DegreeResult:
+    """The degree of f from the local index of each of its pieces."""
     group = f.rep.group
     coeffs = [0] * len(subgroup_classes(group))
     rows: list[OrbitContribution] = []
-    for piece in f.pieces:
-        d = local_index(piece, f.rep)
+    for piece, d in zip(f.pieces, indices):
         if d == 0:
             continue
         ci = class_index_of(group, piece.isotropy)
@@ -392,10 +396,16 @@ def existence_check(result: DegreeResult) -> bool:
 
 # ---------------------------------------------------------------- products
 
-def _product(f: PolystandardMap, g: PolystandardMap):
-    """The product map and the factor indices (d_left, d_right) of each piece."""
+def _factor_indices(f: PolystandardMap, g: PolystandardMap):
+    """The local index of each piece of f and of each piece of g."""
     if f.rep.group is not g.rep.group:
         raise GroupMismatch("maps over representations of different groups")
+    return tuple([local_index(p, m.rep) for p in m.pieces] for m in (f, g))
+
+
+def _product(f: PolystandardMap, g: PolystandardMap, left, right):
+    """The product map and the factor indices (d_left, d_right) of each piece,
+    from the local indices `left` of the pieces of f and `right` of g."""
     sum_rep = direct_sum(f.rep, g.rep)
     if not f.pieces or not g.pieces:
         return PolystandardMap(sum_rep, ()), ()
@@ -412,16 +422,15 @@ def _product(f: PolystandardMap, g: PolystandardMap):
     if spacings:
         size = min(size, linalg.rational_sqrt_floor(min(spacings) / 32))
 
-    right = [(q.orbit, local_index(q, g.rep)) for q in g.pieces]
     n = f.rep.dim
     pieces, indices = [], []
-    for p in f.pieces:
-        y, da = p.base_point, local_index(p, f.rep)
-        for orb_b, db in right:
+    for p, da in zip(f.pieces, left):
+        y = p.base_point
+        for q, db in zip(g.pieces, right):
             # the diagonal orbits of G y x G z meet the row {y} x G z in
             # the G_y-orbits on G z; one piece per G_y-orbit
             covered: set[Vector] = set()
-            for z in orb_b:
+            for z in q.orbit:
                 if z in covered:
                     continue
                 x = y + z
@@ -440,15 +449,20 @@ def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:
     product, carrying the declared index d_left * d_right and radii shrunk
     to fit inside the product tube.
     """
-    return _product(f, g)[0]
+    return _product(f, g, *_factor_indices(f, g))[0]
 
 
 def verify_product(f: PolystandardMap, g: PolystandardMap) -> ProductCheck:
-    """Compare the degree of the product map against the ring product."""
-    prod, indices = _product(f, g)
+    """Compare the degree of the product map against the ring product.
+
+    Each factor piece's local index is computed once, for both the product
+    and the factor degrees.
+    """
+    left, right = _factor_indices(f, g)
+    prod, indices = _product(f, g, left, right)
     product_result = deg_polystandard(prod)
-    left_result = deg_polystandard(f)
-    right_result = deg_polystandard(g)
+    left_result = _degree(f, left)
+    right_result = _degree(g, right)
     rhs = ring_mul(left_result.value, right_result.value)
     orbit_rows = [
         OrbitProductRow(

@@ -2,9 +2,10 @@
 
 Group elements are integers 0..order-1 with 0 the identity, numbered by the
 closure of the permutation generators, which is all a constructor computes.
-Everything derived from it (multiplication table, inverses, subgroups as
-bitmask joins of cyclic subgroups, their classes, labels, and marks counted
-from class members) is a lazy `cached_property` on the group.
+Everything derived from it (multiplication table, inverses, subgroup classes
+as bitmask joins of class representatives with cyclic subgroups, the subgroup
+list as the union of their members, labels, and marks counted from class
+members) is a lazy `cached_property` on the group.
 
 The class order is canonical and deterministic: ascending subgroup order,
 ties broken by the sorted element set of the lexicographically smallest
@@ -83,44 +84,43 @@ class FiniteGroup:
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
-        """Every subgroup is the join of its cyclic subgroups, so joining each
-        one found with each cyclic subgroup outside it reaches them all (joins
-        by normalizing elements only would miss perfect ones, e.g. A5 in S5).
-        """
-        mult = self.mult_table
-        cyclic: dict[int, int] = {}  # mask -> smallest generator
-        for g in range(self.order):
-            cyclic.setdefault(_generate(mult, (g,)), g)
-        found: dict[int, tuple[int, ...]] = {1: ()}  # mask -> generators
-        queue = [1]
-        for h in queue:
-            for c, g in cyclic.items():
-                if c & ~h:
-                    gens = found[h] + (g,)
-                    k = _generate(mult, gens)
-                    if k not in found:
-                        found[k] = gens
-                        queue.append(k)
-        return tuple(
-            Subgroup(t) for t in sorted(map(_elements, found), key=lambda t: (len(t), t))
-        )
+        """The members of all classes, sorted by (order, element_set)."""
+        return tuple(sorted((m for c in subgroup_classes(self) for m in c.members),
+                            key=lambda s: (s.order, s.element_set)))
 
     @cached_property
     def classes(self) -> tuple[SubgroupClass, ...]:
-        """Subgroups come sorted, so each class is met first at its smallest member."""
-        subs = all_subgroups(self)
-        position = {s.element_set: i for i, s in enumerate(subs)}
-        classes: list[SubgroupClass] = []
-        assigned: set[int] = set()
-        for i, sub in enumerate(subs):
-            if i in assigned:
-                continue
-            conjugates = sorted({position[conjugate_subgroup(self, sub, g).element_set]
-                                 for g in range(self.order)})
-            assigned.update(conjugates)
-            classes.append(SubgroupClass(self, sub, tuple(subs[k] for k in conjugates),
-                                         len(classes)))
-        return tuple(classes)
+        """One join of each class representative with each cyclic subgroup outside it.
+
+        A subgroup K > 1 is <H, c> for H maximal in K and c in K outside H.
+        If H = R^x with R the representative of its class, then
+        <H, c> = <R, x c x^-1>^x, so these joins reach every class, and perfect
+        subgroups too (joins by normalizing elements only would miss A5 in S5).
+        A join not seen before is a new class; all its conjugates are marked
+        seen. Classes are sorted by order, then by the element set of their
+        smallest member, which is the representative.
+        """
+        mult, inv = self.mult_table, self.inverse
+        cyclic: dict[int, int] = {}  # mask -> smallest generator
+        for g in range(self.order):
+            cyclic.setdefault(_generate(mult, (g,)), g)
+        seen = {1}
+        queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]  # representative mask, generators
+        members = [[(0,)]]  # per class, the sorted element sets of its members
+        for h, gens in queue:
+            for c, g in cyclic.items():
+                if c & ~h:
+                    k = _generate(mult, gens + (g,))
+                    if k not in seen:
+                        elems = _elements(k)
+                        conjugates = {sum(1 << mult[mult[x][e]][inv[x]] for e in elems)
+                                      for x in range(self.order)}
+                        seen |= conjugates
+                        queue.append((k, gens + (g,)))
+                        members.append(sorted(map(_elements, conjugates)))
+        members.sort(key=lambda m: (len(m[0]), m[0]))
+        return tuple(SubgroupClass(self, subs[0], subs, i)
+                     for i, subs in enumerate(tuple(map(Subgroup, m)) for m in members))
 
     @cached_property
     def class_of(self) -> dict[frozenset[int], int]:

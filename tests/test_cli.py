@@ -242,6 +242,31 @@ def test_negative_pairs_is_a_one_line_error(files, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--pairs", "abc"], "error: argument --pairs: invalid int value: 'abc'"),
+    (["--seed", "1.5"], "error: argument --seed: invalid int value: '1.5'"),
+    (["--format", "xml"], "error: argument --format: invalid choice: 'xml'"),
+    (["--pairs"], "error: argument --pairs: expected one argument"),
+    (["--frob"], "error: unrecognized arguments: --frob"),
+])
+def test_malformed_flag_is_a_one_line_error(files, capsys, flags, message):
+    assert main(["check", "-g", files["s3"], *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+def test_missing_subcommand_is_a_one_line_error(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: burneq check")
+
+
 @pytest.mark.parametrize("radius, code", [("1/1" + "0" * 400, 1), ("1/1" + "0" * 20, 1),
                                           ("1/1000", 0)], ids=["1e-400", "1e-20", "1e-3"])
 def test_expression_radius_against_float_resolution(files, capsys, radius, code):

@@ -5,7 +5,8 @@ them near the valid forms and some fields replaced by arbitrary JSON, sets
 `BURNEQ_ORDER_CAP`, and runs one subcommand in process. Every outcome must
 be exit code 0, 1 or 2 with at most one line on stderr. A second test keeps
 the group, the representation and the setting valid, so that random maps
-reach piece validation and the local index.
+reach piece validation and the local index. A third keeps the files valid
+and draws the `check` flags instead.
 """
 
 import contextlib
@@ -148,6 +149,44 @@ def test_random_inputs_never_escape_main(case):
 @given(inputs(sound_setup=True))
 def test_random_maps_on_sound_representations_never_escape_main(case):
     run_main(case)
+
+
+S3_GROUP = {"points": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+S3_PERM = {"dim": 3, "generator_matrices": [perm_matrix(p) for p in S3_GROUP["generators"]]}
+# None is a flag without its value; `--pairs` runs stay cheap, as larger
+# counts come only as text that is not an integer
+NOT_INTS = st.sampled_from(["abc", "1.5", "", "2e0", "-", "1/2", "nan", "--seed"])
+NEGATIVE = st.integers(-10, -1).map(str)
+FLAG_VALUES = {
+    "--pairs": st.one_of(st.integers(0, 2).map(str), NEGATIVE, NOT_INTS, st.none()),
+    "--seed": st.one_of(st.integers(0, 10**6).map(str), NEGATIVE, NOT_INTS, st.none()),
+    "--format": st.one_of(st.sampled_from(["text", "json", "xml", "JSON", ""]), st.none()),
+}
+
+
+@st.composite
+def check_flags(draw):
+    """Some of the `check` flags in a random order, each with a drawn value."""
+    argv = []
+    for flag in draw(st.permutations(sorted(FLAG_VALUES))):
+        if draw(st.booleans()):
+            value = draw(FLAG_VALUES[flag])
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(check_flags())
+def test_random_check_flags_never_escape_main(flags):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        group, rep = Path(tmp) / "group.json", Path(tmp) / "rep.json"
+        group.write_text(json.dumps(S3_GROUP), encoding="utf-8")
+        rep.write_text(json.dumps(S3_PERM), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "-g", str(group), "-r", str(rep), *flags])
+    assert code in (0, 1, 2), err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 @pytest.mark.parametrize("base,expr,message", [

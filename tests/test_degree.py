@@ -407,3 +407,18 @@ def test_mutated_piece_matches_a_full_rebuild(name):
             assert mutated.orbit == rebuilt.orbit
             changed += mutated.local != piece.local
     assert changed > 0
+
+
+@pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
+def test_verify_product_computes_each_factor_index_once(name, monkeypatch):
+    rep = make_rep(name)
+    rng = random.Random(0)
+    f = fuzz.random_polystandard_map(rep, rng)
+    g = fuzz.random_polystandard_map(rep, rng)
+    linear = sum(isinstance(p.local, LinearLocalMap) and _local_dim(rep, p.base_point) > 0
+                 for m in (f, g) for p in m.pieces)
+    calls = []
+    det = la.det
+    monkeypatch.setattr(la, "det", lambda matrix: calls.append(matrix) or det(matrix))
+    assert bq.verify_product(f, g).equal
+    assert len(calls) == linear > 0
