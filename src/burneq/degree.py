@@ -12,11 +12,9 @@ orbit, and exactly: G acts by isometries, so two orbits come closest with
 one point at its base point, and #pieces x #points integer distances
 (denominators cleared once) decide what comparing all pairs of points would.
 
-The local index of a linear block is the sign of its exact determinant.
-Expression pieces go through a central-difference Jacobian restricted to
-fixed-subspace directions; the determinant is declared singular below
-1e-8 * scale^d where scale = max(1, inf-norm of the Jacobian), and so is a
-Jacobian with an infinite or NaN entry.
+The local index is the sign of an exact, nonzero determinant: of a linear
+block, or of an expression piece's Jacobian at its base point, where it
+must vanish exactly. Floats enter only in the heuristic second-zero scan.
 
 Products of maps over V and W live over the block sum V (+) W: each pair of
 zero orbits G y x G z splits into diagonal orbits, and every resulting piece
@@ -24,10 +22,7 @@ carries the product of the two local indices as a declared index. Every
 diagonal orbit meets the row {y} x G z, where it is a G_y-orbit, so the
 diagonal orbits are enumerated from that one row. The product is built
 directly, as `standard_piece` and `polystandard_map` validate outside input
-only; so `index_product` is d_left * d_right by construction, and
-`consistent`, always true, is kept for output stability. Criterion 3 and
-`test_independent_block_route_on_seeded_pairs` check the per-orbit law
-independently, from block determinants.
+only; `OrbitProductRow` says what that means for its rows.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ from .representation import (
     orbit,
 )
 
-SINGULAR_TOL = 1e-8
 GRID_POINTS = 33  # per axis in the second-zero scan
 EXPRESSION_DIM_CAP = 3  # the grid scan is exponential in the fixed dimension
 
@@ -160,10 +154,10 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
     When radius or epsilon are omitted they default to a safe bound below a
     quarter of the minimal spacing of the orbit. Validation covers: exact
     isotropy and orbit computation (the orbit is kept on the piece), the
-    epsilon-versus-orbit-spacing bound, arity of
-    the local map against dim V^H, the {0,1} constraint on declared indices
-    at dimension zero, and the heuristic second-zero grid scan for
-    expression pieces.
+    epsilon-versus-orbit-spacing bound, arity of the local map against dim
+    V^H, the {0,1} constraint on declared indices at dimension zero, and for
+    expression pieces an exact zero at the base point and the heuristic
+    second-zero grid scan.
     """
     x0 = linalg.vec(base_point)
     if len(x0) != rep.dim:
@@ -207,8 +201,12 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             )
         if any(abs(c) > sys.float_info.max for c in (*x0, radius)):
             raise InvalidPiece("expression piece coordinates are out of floating-point range")
-        if d > 0:
-            _scan_for_second_zero(local.exprs, x0, rep, sub, radius)
+        try:
+            if any(expr_mod.jet(e, x0, (0,) * rep.dim)[0] for e in local.exprs):
+                raise InvalidPiece("expression local map does not vanish at the base point")
+        except OverflowError as exc:
+            raise InvalidPiece(f"expression piece has {exc} out of floating-point range") from exc
+        _scan_for_second_zero(local.exprs, x0, rep, sub, radius)
     elif isinstance(local, DeclaredLocalMap):
         if d == 0 and local.index not in (0, 1):
             raise InvalidPiece(
@@ -256,12 +254,6 @@ def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
                 for j in range(len(ambient)):
                     ambient[j] += uk * row[j]
         values[idx] = tuple(expr_mod._ev(e.root, ambient) for e in exprs)
-
-    at_base = values.get((half,) * d)
-    if at_base is not None:
-        scale = max(1.0, max(abs(v) for vals in values.values() for v in vals))
-        if any(abs(v) > 1e-9 * scale for v in at_base):
-            raise InvalidPiece("expression local map does not vanish at the base point")
 
     corners = list(itertools.product((0, 1), repeat=d))
     for cell in itertools.product(range(n - 1), repeat=d):
@@ -311,40 +303,21 @@ def polystandard_map(rep: OrthogonalRepresentation, pieces) -> PolystandardMap:
 
 # ---------------------------------------------------------------- local index
 
+def _det_sign(jacobian) -> int:
+    """The local index from an exact Jacobian; exactly 0 is singular."""
+    det = linalg.det(jacobian)
+    if det == 0:
+        raise SingularJacobian("the Jacobian determinant is exactly zero at the base point")
+    return 1 if det > 0 else -1
+
+
 def expression_local_index(exprs: Sequence[Expr], base_point,
                            basis: Sequence[Vector]) -> int:
-    """Sign of the finite-difference Jacobian determinant along a basis.
-
-    This is the numerical path behind expression pieces: central
-    differences with step 2^-20 in the basis directions, then the sign of
-    the float determinant, guarded by the scaled singularity tolerance.
-    """
-    d = len(basis)
-    if len(exprs) != d:
-        raise InvalidPiece(f"need {d} expressions for a {d}-dimensional block")
-    if d == 0:
-        return 1
-    base = [float(c) for c in linalg.vec(base_point)]
-    bf = [[float(c) for c in b] for b in basis]
-    h = expr_mod.FD_STEP
-    jac = [[0.0] * d for _ in range(d)]
-    for k in range(d):
-        plus = [x + h * y for x, y in zip(base, bf[k])]
-        minus = [x - h * y for x, y in zip(base, bf[k])]
-        for i, e in enumerate(exprs):
-            jac[i][k] = (expr_mod._ev(e.root, plus) - expr_mod._ev(e.root, minus)) / (2.0 * h)
-    if not all(math.isfinite(x) for row in jac for x in row):
-        raise SingularJacobian(
-            "the finite-difference Jacobian is not finite; supply a declared index"
-        )
-    scale = max(1.0, max(sum(abs(x) for x in row) for row in jac))
-    det = linalg.float_det(jac)
-    if abs(det) < SINGULAR_TOL * scale ** d:
-        raise SingularJacobian(
-            f"|det| = {abs(det):.3e} below tolerance {SINGULAR_TOL:.0e} * scale^{d}; "
-            "supply a declared index or perturb the map"
-        )
-    return 1 if det > 0 else -1
+    """Sign of the exact Jacobian determinant along a basis, by `expr.jet`."""
+    if len(exprs) != len(basis):
+        raise InvalidPiece(f"need {len(basis)} expressions for a {len(basis)}-dimensional block")
+    x0 = linalg.vec(base_point)
+    return _det_sign([[expr_mod.jet(e, x0, b)[1] for b in basis] for e in exprs])
 
 
 def local_index(piece: StandardPiece, rep: OrthogonalRepresentation) -> int:
@@ -356,10 +329,7 @@ def local_index(piece: StandardPiece, rep: OrthogonalRepresentation) -> int:
     if fs.dim_fixed == 0:
         return 1
     if isinstance(local, LinearLocalMap):
-        det = linalg.det(local.matrix)
-        if det == 0:
-            raise SingularJacobian("linear block has determinant exactly zero")
-        return 1 if det > 0 else -1
+        return _det_sign(local.matrix)
     return expression_local_index(local.exprs, piece.base_point, fs.basis)
 
 

@@ -114,15 +114,15 @@ def _local_from_dict(data: dict, rep: OrthogonalRepresentation, where: str):
     kind = data.get("type")
     if kind == "linear":
         matrix = data.get("matrix")
-        if not isinstance(matrix, list):
-            raise DescriptorError(f"{where}: linear local map needs 'matrix'")
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise DescriptorError(f"{where}: linear local map needs 'matrix', a list of rows")
         return LinearLocalMap(
             tuple(tuple(_fraction(x, where) for x in row) for row in matrix)
         )
     if kind == "expr":
         sources = data.get("exprs")
-        if not isinstance(sources, list):
-            raise DescriptorError(f"{where}: expression local map needs 'exprs'")
+        if not isinstance(sources, list) or not all(isinstance(src, str) for src in sources):
+            raise DescriptorError(f"{where}: expression local map needs 'exprs', a list of strings")
         return ExpressionLocalMap(
             tuple(expr_mod.parse(src, rep.dim) for src in sources)
         )

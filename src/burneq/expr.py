@@ -8,16 +8,18 @@ Grammar (standard precedence, left associative):
     power  := atom ('^' uint)?
     atom   := number | variable | '(' expr ')'
 
-Numbers are decimal literals; variables are x1..xn for the declared
-dimension; '^' takes a literal non-negative integer exponent and binds
-tighter than unary minus, so "-x1^2" means -(x1^2). Evaluation is IEEE
-double; exactness lives elsewhere (linear-variant pieces), not here.
+Numbers are decimal literals, kept and printed exactly; variables are
+x1..xn for the declared dimension; '^' takes a literal non-negative integer
+exponent and binds tighter than unary minus, so "-x1^2" means -(x1^2).
+`jet` is exact; `evaluate` and `jacobian_fd` use each literal's float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from sys import float_info
 from typing import Sequence, Union
 
 from .errors import (
@@ -33,7 +35,14 @@ FD_STEP = 2.0 ** -20
 
 @dataclass(frozen=True)
 class Num:
-    value: float
+    value: Fraction
+    real: float = field(init=False, repr=False, compare=False)  # its float, fixed once
+
+    def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "real", float(self.value))
+        except OverflowError:  # beyond the float range, where float() of the text gives inf
+            object.__setattr__(self, "real", math.inf)
 
 
 @dataclass(frozen=True)
@@ -179,7 +188,7 @@ class _Parser:
     def atom(self) -> Node:
         kind, value, offset = self.next()
         if kind == "num":
-            return Num(float(value))
+            return Num(Fraction(value))
         if kind == "ident":
             if value.startswith("x") and value[1:].isdigit():
                 index = int(value[1:])
@@ -217,9 +226,17 @@ def _node_level(node: Node) -> int:
     return _LEVEL_ATOM
 
 
+def _decimal(q: Fraction) -> str:
+    """The exact text of a decimal literal; 10^k is a multiple of 2^a 5^b < 2^k."""
+    k = q.denominator.bit_length()
+    digits = str(q.numerator * 10 ** k // q.denominator).rjust(k + 1, "0")
+    whole, frac = digits[:-k], digits[-k:].rstrip("0")
+    return f"{whole}.{frac}" if frac else whole
+
+
 def _to_source(node: Node, min_level: int) -> str:
     if isinstance(node, Num):
-        text = str(int(node.value)) if node.value.is_integer() else repr(node.value)
+        text = _decimal(Fraction(node.value))
     elif isinstance(node, Var):
         text = f"x{node.index}"
     elif isinstance(node, Neg):
@@ -244,7 +261,7 @@ def to_source(e: Expr) -> str:
 
 def _ev(node: Node, point: Sequence[float]) -> float:
     if isinstance(node, Num):
-        return node.value
+        return node.real
     if isinstance(node, Var):
         return point[node.index - 1]
     if isinstance(node, Neg):
@@ -273,6 +290,41 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     if len(point) != e.dim:
         raise DimensionMismatch(f"point has {len(point)} coordinates, expected {e.dim}")
     return _ev(e.root, point)
+
+
+def jet(e: Expr, point: Sequence[Fraction],
+        direction: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """Exact value and directional derivative at a rational point. Raises
+    DivisionByZero on a zero divisor, and OverflowError on a literal or a
+    nonzero power outside the float range, sized from exponent and bit lengths first."""
+    def ev(node: Node) -> tuple[Fraction, Fraction]:
+        if isinstance(node, Num):
+            if node.value > float_info.max:
+                raise OverflowError("a literal")
+            return node.value, 0
+        if isinstance(node, Var):
+            return point[node.index - 1], direction[node.index - 1]
+        if isinstance(node, Neg):
+            return tuple(-x for x in ev(node.operand))
+        if isinstance(node, Pow):
+            (v, dv), n = ev(node.base), node.exponent
+            size = n * (math.log2(abs(v.numerator)) - math.log2(v.denominator)) if v else 0
+            if not float_info.min_exp - float_info.mant_dig <= size <= float_info.max_exp:
+                raise OverflowError("a power value")
+            p = v ** max(n - 1, 0)  # v^(n-1), or v^0 = v^n for n = 0
+            return p * v if n else p, n * p * dv
+        (a, da), (b, db) = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return a + b, da + db
+        if node.op == "-":
+            return a - b, da - db
+        if node.op == "*":
+            return a * b, da * b + a * db
+        if b == 0:
+            raise DivisionByZero("division by zero during exact evaluation")
+        return a / b, (da * b - a * db) / (b * b)
+
+    return ev(e.root)
 
 
 def jacobian_fd(exprs: Sequence[Expr], point: Sequence[float]) -> list[list[float]]:

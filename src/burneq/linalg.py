@@ -1,9 +1,8 @@
 """Exact linear algebra over rational matrices.
 
 Matrices are tuples of row tuples of Fraction; vectors are tuples of
-Fraction. Everything here is pure and exact; floats appear only in
-`float_det`, which backs the numerical Jacobian path. Only what the package
-uses lives here; rank and row-space comparison, which only tests need, are
+Fraction. Everything here is pure and exact. Only what the package uses
+lives here; rank and row-space comparison, which only tests need, are
 built on `rref` in the test suite.
 """
 
@@ -212,24 +211,3 @@ def min_orbit_spacing2(orbits: Sequence[Sequence[Vector]]) -> Fraction | None:
     best = min((d for row in gaps for d in row if d is not None), default=None)
     return None if best is None else Fraction(best, scale * scale)
 
-
-def float_det(rows: list[list[float]]) -> float:
-    """Determinant of a small float matrix by partial-pivot elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1.0
-    m = [list(r) for r in rows]
-    result = 1.0
-    for c in range(n):
-        pivot_row = max(range(c, n), key=lambda i: abs(m[i][c]))
-        if m[pivot_row][c] == 0.0:
-            return 0.0
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            if f != 0.0:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result

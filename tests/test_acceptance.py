@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
-Everything here is exact integer arithmetic except the numerical local
-index (criterion 7, scaled 1e-8 tolerance) and the finite-difference
-Jacobian comparison (criterion 8, 1e-5 relative). Run with -s to see the
+Everything here is exact arithmetic except the finite-difference Jacobian
+comparison (criterion 8, 1e-5 relative). Run with -s to see the
 per-criterion lines and timings.
 """
 

@@ -282,3 +282,17 @@ def test_expression_radius_against_float_resolution(files, capsys, radius, code)
         assert "linear or declared local map" in err
     else:
         assert out.splitlines()[0] == "deg = 1*[G/e]"
+
+
+def test_degree_of_a_small_nonzero_determinant(tmp_path, capsys):
+    group = tmp_path / "trivial.json"
+    group.write_text('{"points": 1, "generators": [[0]]}', encoding="utf-8")
+    rep = tmp_path / "plane.json"
+    rep.write_text('{"dim": 2, "generator_matrices": [[["1", "0"], ["0", "1"]]]}',
+                   encoding="utf-8")
+    the_map = tmp_path / "map.json"
+    the_map.write_text(json.dumps({"pieces": [{
+        "base_point": ["0", "0"], "radius": "1", "epsilon": "1",
+        "local": {"type": "expr", "exprs": ["1000*x1", "0.000000001*x2"]}}]}), encoding="utf-8")
+    assert main(["degree", "-g", str(group), "-r", str(rep), "-m", str(the_map)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "deg = 1*[G/e]"

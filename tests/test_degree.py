@@ -110,6 +110,30 @@ def test_expression_index_plus_one():
     assert bq.local_index(p, plane) == 1
 
 
+@pytest.mark.parametrize("sources", [
+    ("1000*x1", "0.000000001*x2"),
+    ("x1 + x2", "x1 + 1.000000001*x2"),
+])
+def test_expression_index_is_exact_for_small_determinants(sources):
+    exprs = [expr.parse(src, 2) for src in sources]
+    basis = [la.vec([1, 0]), la.vec([0, 1])]
+    assert bq.expression_local_index(exprs, la.vec([0, 0]), basis) == 1
+
+
+def test_exactly_singular_expression_jacobian():
+    exprs = [expr.parse("0.1*x1 + 0.3*x2", 2), expr.parse("x1 + 3*x2", 2)]
+    with pytest.raises(SingularJacobian):
+        bq.expression_local_index(exprs, la.vec([0, 0]), [la.vec([1, 0]), la.vec([0, 1])])
+
+
+def test_approximate_zero_is_refused():
+    triv = bq.generate_group([[0]])
+    line = bq.trivial_representation(triv, 1)
+    local = ExpressionLocalMap((expr.parse("x1^2 - 2", 1),))
+    with pytest.raises(InvalidPiece, match="does not vanish"):
+        bq.standard_piece(line, ["1.4142135623730951"], local, radius="1/4", epsilon="1/4")
+
+
 def test_singular_linear_block(z2_sign):
     p = bq.standard_piece(z2_sign, [1], LinearLocalMap(((Fraction(0),),)))
     with pytest.raises(SingularJacobian):

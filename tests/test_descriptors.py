@@ -233,3 +233,37 @@ def test_declared_index_must_be_an_integer(tmp_path, d):
                            "local": {"type": "degree", "d": d}}]}
     with pytest.raises(DescriptorError):
         descriptors.load_map(write(tmp_path / "m.json", payload), rep)
+
+
+@pytest.mark.parametrize("local,field", [
+    ({"type": "expr", "exprs": [5]}, "'exprs'"),
+    ({"type": "expr", "exprs": ["x1 - 1", None]}, "'exprs'"),
+    ({"type": "linear", "matrix": [1]}, "'matrix'"),
+    ({"type": "linear", "matrix": [["1", "0"], "01"]}, "'matrix'"),
+])
+def test_malformed_local_map_names_its_field(tmp_path, local, field):
+    group = descriptors.load_group(write(tmp_path / "g.json", S3_GROUP))
+    rep = descriptors.load_representation(write(tmp_path / "r.json", S3_PERM_REP), group)
+    payload = {"pieces": [{"base_point": ["1", "2", "4"], "radius": "1/8", "epsilon": "1/8",
+                           "local": local}]}
+    with pytest.raises(DescriptorError) as info:
+        descriptors.load_map(write(tmp_path / "m.json", payload), rep)
+    assert field in str(info.value) and "needs base_point" not in str(info.value)
+
+
+def test_expression_map_keeps_its_literals(tmp_path):
+    trivial = {"points": 1, "generators": [[0]]}
+    group = descriptors.load_group(write(tmp_path / "g.json", trivial))
+    rep = descriptors.load_representation(
+        write(tmp_path / "r.json", {"dim": 1, "generator_matrices": [[["1"]]]}), group
+    )
+    source = "123456789012345678901.5 * (x1 - 0.00001)"
+    payload = {"pieces": [{"base_point": ["1/100000"], "radius": "1/1000000",
+                           "epsilon": "1/1000000", "local": {"type": "expr", "exprs": [source]}}]}
+    f = descriptors.load_map(write(tmp_path / "m.json", payload), rep)
+    path = tmp_path / "saved.json"
+    descriptors.save_map(path, f)
+    assert json.loads(path.read_text())["pieces"][0]["local"]["exprs"] == [source]
+    loaded = descriptors.load_map(str(path), rep)
+    assert loaded.pieces == f.pieces
+    assert bq.deg_polystandard(loaded).value.coeffs == (1,)

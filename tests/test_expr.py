@@ -1,7 +1,8 @@
-"""Expression parsing, printing, evaluation, and the FD Jacobian."""
+"""Expression parsing, printing, evaluation, the exact jet and the FD Jacobian."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,17 @@ def test_unbalanced_parens():
         expr.parse("(x1 + x2", 2)
     with pytest.raises(ExprSyntaxError):
         expr.parse("x1 + x2)", 2)
+
+
+@pytest.mark.parametrize("source", [
+    "x1 - 0.00001",
+    "123456789012345678901.5 * x1",
+    "x1 + " + "1" * 200 + "." + "2" * 199 + "3",
+])
+def test_literals_print_back_exactly(source):
+    e = expr.parse(source, 1)
+    assert str(e) == source
+    assert expr.parse(str(e), 1) == e
 
 
 def test_precedence():
@@ -206,3 +218,27 @@ def test_power_overflow_is_ieee_infinity():
     assert expr.evaluate(expr.parse("x1^1100", 1), [2.0]) == math.inf
     assert expr.evaluate(expr.parse("x1^1101", 1), [-2.0]) == -math.inf
     assert expr.evaluate(expr.parse("x1^1100", 1), [-2.0]) == math.inf
+
+
+def test_jet_is_exact_value_and_directional_derivative():
+    e = expr.parse("x1^3 / (x2 - 0.5) + 0.1 * x2", 2)
+    point, direction = (Fraction(2), Fraction(3, 2)), (Fraction(1), Fraction(-2))
+    value, derivative = expr.jet(e, point, direction)
+    assert value == Fraction(8) + Fraction(3, 20)
+    # d/dx1 = 3 x1^2 / (x2 - 1/2) = 12, d/dx2 = -x1^3 / (x2 - 1/2)^2 + 1/10
+    assert derivative == 12 - 2 * (-8 + Fraction(1, 10))
+    with pytest.raises(DivisionByZero):
+        expr.jet(expr.parse("1 / (x1 - 0.25)", 1), (Fraction(1, 4),), (Fraction(1),))
+
+
+def test_jet_refuses_values_beyond_the_float_range():
+    with pytest.raises(OverflowError):
+        expr.jet(expr.parse("x1^99999999", 1), (Fraction(2, 3),), (Fraction(1),))
+    with pytest.raises(OverflowError):
+        expr.jet(expr.parse("x1^1100", 1), (Fraction(2),), (Fraction(1),))
+    with pytest.raises(OverflowError):
+        expr.jet(expr.parse("1" + "0" * 400 + " * x1", 1), (Fraction(0),), (Fraction(1),))
+    # powers of 0, 1 and -1 stay small however large the exponent
+    huge = expr.parse("x1^999999999", 1)
+    assert expr.jet(huge, (Fraction(-1),), (Fraction(1),)) == (-1, 999999999)
+    assert expr.jet(huge, (Fraction(0),), (Fraction(1),)) == (0, 0)
