@@ -171,13 +171,10 @@ def decompose_gset(x: FiniteGSet) -> BurnsideElement:
     for p in range(x.size):
         if seen[p]:
             continue
-        stabilizer = []
-        for g in range(group.order):
-            q = x.action[g][p]
+        images = [row[p] for row in x.action]
+        for q in images:
             seen[q] = True
-            if q == p:
-                stabilizer.append(g)
-        coeffs[class_index_of(group, Subgroup(tuple(stabilizer)))] += 1
+        coeffs[class_index_of(group, Subgroup.of(g for g, q in enumerate(images) if q == p))] += 1
     return BurnsideElement(group, tuple(coeffs))
 
 

@@ -205,7 +205,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             if any(expr_mod.jet(e, x0, (0,) * rep.dim)[0] for e in local.exprs):
                 raise InvalidPiece("expression local map does not vanish at the base point")
         except OverflowError as exc:
-            raise InvalidPiece(f"expression piece has {exc} out of floating-point range") from exc
+            raise InvalidPiece(f"expression piece has {exc}") from exc
         _scan_for_second_zero(local.exprs, x0, rep, sub, radius)
     elif isinstance(local, DeclaredLocalMap):
         if d == 0 and local.index not in (0, 1):

@@ -31,6 +31,7 @@ from .errors import (
 )
 
 FD_STEP = 2.0 ** -20
+EXACT_POWER_BITS = 2 ** 20  # jet refuses a power whose exact value would need more bits
 
 
 @dataclass(frozen=True)
@@ -295,12 +296,12 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
 def jet(e: Expr, point: Sequence[Fraction],
         direction: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     """Exact value and directional derivative at a rational point. Raises
-    DivisionByZero on a zero divisor, and OverflowError on a literal or a
-    nonzero power outside the float range, sized from exponent and bit lengths first."""
+    DivisionByZero on a zero divisor, and OverflowError on a literal or a power
+    outside the float range or beyond EXACT_POWER_BITS, sized before it is taken."""
     def ev(node: Node) -> tuple[Fraction, Fraction]:
         if isinstance(node, Num):
             if node.value > float_info.max:
-                raise OverflowError("a literal")
+                raise OverflowError("a literal out of floating-point range")
             return node.value, 0
         if isinstance(node, Var):
             return point[node.index - 1], direction[node.index - 1]
@@ -308,9 +309,11 @@ def jet(e: Expr, point: Sequence[Fraction],
             return tuple(-x for x in ev(node.operand))
         if isinstance(node, Pow):
             (v, dv), n = ev(node.base), node.exponent
-            size = n * (math.log2(abs(v.numerator)) - math.log2(v.denominator)) if v else 0
-            if not float_info.min_exp - float_info.mant_dig <= size <= float_info.max_exp:
-                raise OverflowError("a power value")
+            num, den = (math.log2(abs(v.numerator)), math.log2(v.denominator)) if v else (0, 0)
+            if not float_info.min_exp - float_info.mant_dig <= n * (num - den) <= float_info.max_exp:
+                raise OverflowError("a power value out of floating-point range")
+            if n * (num + den) > EXACT_POWER_BITS:
+                raise OverflowError("a power too large to evaluate exactly")
             p = v ** max(n - 1, 0)  # v^(n-1), or v^0 = v^n for n = 0
             return p * v if n else p, n * p * dv
         (a, da), (b, db) = ev(node.left), ev(node.right)

@@ -5,7 +5,8 @@ closure of the permutation generators, which is all a constructor computes.
 Everything derived from it (multiplication table, inverses, subgroup classes
 as bitmask joins of class representatives with cyclic subgroups, the subgroup
 list as the union of their members, labels, and marks counted from class
-members) is a lazy `cached_property` on the group.
+members) is a lazy `cached_property` on the group. A subgroup is its element
+bitmask, a layout no other module reads, so set questions are int operations.
 
 The class order is canonical and deterministic: ascending subgroup order,
 ties broken by the sorted element set of the lexicographically smallest
@@ -106,7 +107,7 @@ class FiniteGroup:
             cyclic.setdefault(_generate(mult, (g,)), g)
         seen = {1}
         queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]  # representative mask, generators
-        members = [[(0,)]]  # per class, the sorted element sets of its members
+        members = [[1]]  # per class, the masks of its members in canonical order
         for h, gens in queue:
             for c, g in cyclic.items():
                 if c & ~h:
@@ -117,15 +118,15 @@ class FiniteGroup:
                                       for x in range(self.order)}
                         seen |= conjugates
                         queue.append((k, gens + (g,)))
-                        members.append(sorted(map(_elements, conjugates)))
-        members.sort(key=lambda m: (len(m[0]), m[0]))
+                        members.append(sorted(conjugates, key=_elements))
+        members.sort(key=lambda m: (m[0].bit_count(), _elements(m[0])))
         return tuple(SubgroupClass(self, subs[0], subs, i)
                      for i, subs in enumerate(tuple(map(Subgroup, m)) for m in members))
 
     @cached_property
-    def class_of(self) -> dict[frozenset[int], int]:
-        """Class index of every subgroup, keyed by its member set."""
-        return {m.members: c.class_index for c in subgroup_classes(self) for m in c.members}
+    def class_of(self) -> dict[int, int]:
+        """Class index of every subgroup, keyed by its mask."""
+        return {m.mask: c.class_index for c in subgroup_classes(self) for m in c.members}
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -148,7 +149,7 @@ class FiniteGroup:
         classes = subgroup_classes(self)
         return tuple(
             tuple(
-                self.order * sum(k.members <= h.members for k in cj.members)
+                self.order * sum(k.mask | h.mask == h.mask for k in cj.members)
                 // (len(cj.members) * h.order)
                 for cj in classes
             )
@@ -170,20 +171,25 @@ def generate_group(generators, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGrou
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its sorted element indices."""
+    """A subgroup as its bitmask, bit g set for element g; other modules build it by `of`."""
 
-    element_set: tuple[int, ...]
+    mask: int
+
+    @classmethod
+    def of(cls, elements) -> Subgroup:
+        """The subgroup with the given element indices, in any order."""
+        return cls(sum(1 << g for g in set(elements)))
 
     @property
     def order(self) -> int:
-        return len(self.element_set)
+        return self.mask.bit_count()
 
     @cached_property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.element_set)
+    def element_set(self) -> tuple[int, ...]:
+        return _elements(self.mask)
 
     def __contains__(self, g: int) -> bool:
-        return g in self.members
+        return self.mask >> g & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -220,26 +226,24 @@ def _generate(mult, gens) -> int:
 
 
 def _elements(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")  # bit 0 first
 
 
 def is_subgroup(group: FiniteGroup, candidate: Subgroup) -> bool:
-    members = candidate.members
-    if 0 not in members or not members <= set(range(group.order)):
-        return False
-    mult = group.mult_table
-    return all(mult[a][b] in members for a in members for b in members)
+    """Identity inside, no bit at or above |G|, and closed: the elements generate it."""
+    m = candidate.mask
+    return (m & 1 == 1 and m >> group.order == 0
+            and _generate(group.mult_table, candidate.element_set) == m)
 
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     """The subgroup generated by the given element indices."""
-    return Subgroup(_elements(_generate(group.mult_table, tuple(elements))))
+    return Subgroup(_generate(group.mult_table, tuple(elements)))
 
 
 def conjugate_subgroup(group: FiniteGroup, subgroup: Subgroup, g: int) -> Subgroup:
-    mult, inv = group.mult_table, group.inverse
-    gi = inv[g]
-    return Subgroup(tuple(sorted(mult[mult[g][h]][gi] for h in subgroup.element_set)))
+    mult, gi = group.mult_table, group.inverse[g]
+    return Subgroup(sum(1 << mult[mult[g][h]][gi] for h in subgroup.element_set))
 
 
 def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -255,7 +259,7 @@ def subgroup_classes(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
 def class_index_of(group: FiniteGroup, subgroup: Subgroup) -> int:
     """Canonical class index of an arbitrary subgroup."""
     try:
-        return group.class_of[subgroup.members]
+        return group.class_of[subgroup.mask]
     except KeyError:
         raise NotASubgroup(f"{subgroup.element_set!r} is not a subgroup") from None
 
@@ -264,30 +268,32 @@ def class_leq(a: SubgroupClass, b: SubgroupClass) -> bool:
     """Whether some member of class a sits inside some member of class b."""
     if a.group is not b.group:
         raise GroupMismatch("classes from different groups")
-    target = b.representative.members
-    return any(m.members <= target for m in a.members)
+    target = b.representative.mask
+    return any(m.mask | target == target for m in a.members)
 
 
 def weyl_data(group: FiniteGroup, subgroup: Subgroup) -> WeylData:
     if not is_subgroup(group, subgroup):
         raise NotASubgroup(f"{subgroup.element_set!r} is not a subgroup")
     mult, inv = group.mult_table, group.inverse
-    hset = subgroup.members
-    normalizer_elems = tuple(
-        g
-        for g in range(group.order)
-        if {mult[mult[g][h]][inv[g]] for h in subgroup.element_set} == hset
-    )
+    mask, elems = subgroup.mask, subgroup.element_set
+    normalizer: list[int] = []
     reps: list[int] = []
     covered: set[int] = set()
-    for g in normalizer_elems:
-        if g not in covered:
-            reps.append(g)
-            covered.update(mult[g][h] for h in subgroup.element_set)
+    for g in range(group.order):
+        row, gi = mult[g], inv[g]
+        for h in elems:  # g H g^-1 has |H| elements, so it is H once it lies inside H
+            if not mask >> mult[row[h]][gi] & 1:
+                break
+        else:
+            normalizer.append(g)
+            if g not in covered:
+                reps.append(g)
+                covered.update(row[h] for h in elems)
     return WeylData(
         subgroup=subgroup,
-        normalizer=Subgroup(normalizer_elems),
-        weyl_order=len(normalizer_elems) // subgroup.order,
+        normalizer=Subgroup.of(normalizer),
+        weyl_order=len(normalizer) // subgroup.order,
         weyl_coset_reps=tuple(reps),
     )
 

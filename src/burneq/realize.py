@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import linalg
 from .burnside import BurnsideElement
 from .degree import LinearLocalMap, PolystandardMap, StandardPiece
-from .errors import EmptyOrbitTypeStratum, InfeasibleCoefficient, ZeroDimNegative
+from .errors import InfeasibleCoefficient, ZeroDimNegative
 from .group import Subgroup, class_labels, subgroup_classes
 from .linalg import Matrix, Vector
 from .representation import (
@@ -72,15 +72,13 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
             continue
         sub = cls.representative
         d = fixed_subspace(rep, sub).dim_fixed
-        try:
-            points = witness_points(rep, sub, abs(coeff) if d else 1)
-        except EmptyOrbitTypeStratum as exc:
+        if not rep.orbit_types.entries[cls.class_index].occupied:
             raise InfeasibleCoefficient(
                 f"class [G/{labels[cls.class_index]}] has an empty stratum "
                 f"in this representation",
                 kind="empty-stratum",
                 class_index=cls.class_index,
-            ) from exc
+            )
         if d == 0 and coeff != 1:
             # then H = G and only the origin can carry it, one unit germ at most
             raise InfeasibleCoefficient(
@@ -89,6 +87,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
                 kind="unit-coefficient",
                 class_index=cls.class_index,
             )
+        points = witness_points(rep, sub, abs(coeff) if d else 1)
         local = LinearLocalMap(signed_linear_block(d, 1 if coeff > 0 else -1))
         placements.extend((x, sub, local, orbit(rep, x)) for x in points)
 

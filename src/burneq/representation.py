@@ -9,7 +9,7 @@ compare the integer images A_g X, which share the scale D * s; `direct_sum`
 stacks the rows of two validated blocks over one denominator. The exact
 Fraction matrices (`matrices`, used by `apply`) are derived on first use;
 tests check the integer kernel against them. Floats never enter here.
-Witness points all come from the one ladder of `witness_points`.
+Orbit types are decided per class, witnesses by the one ladder of `witness_points`.
 Representations that need irrational matrices must be fed in through a
 rational orthogonal form; embedding in a permutation representation always
 works.
@@ -37,6 +37,7 @@ from .group import (
     all_subgroups,
     class_index_of,
     class_labels,
+    class_leq,
     subgroup_classes,
 )
 from .linalg import IntVector, Matrix, Vector
@@ -50,7 +51,7 @@ class OrthogonalRepresentation:
     """One exact-rational orthogonal matrix per group element, rows[g] / denom.
 
     Construct through `build_representation`; immutable afterwards. Derived
-    data (Fraction matrices, fixed subspaces) is cached.
+    data (Fraction matrices, fixed subspaces, orbit types) is cached.
     """
 
     def __init__(self, group: FiniteGroup, dim: int, rows: tuple[IntMatrix, ...],
@@ -60,12 +61,20 @@ class OrthogonalRepresentation:
         self.rows = rows
         self.denom = denom
         self.label = label
-        self._fixed_cache: dict[tuple[int, ...], FixedSubspace] = {}
+        self._fixed_cache: dict[int, FixedSubspace] = {}  # keyed by subgroup mask
 
     @cached_property
-    def occupied(self) -> tuple[OrbitTypeEntry, ...]:
-        """The occupied rows of the orbit-type table."""
-        return tuple(e for e in orbit_types(self).entries if e.occupied)
+    def orbit_types(self) -> OrbitTypeTable:
+        """Fixed-space dimension and occupancy for every subgroup class. Class i is
+        empty iff some class j != i with class_leq(i, j) fixes a space of the same
+        dimension, as a finite union of proper subspaces cannot cover a rational space."""
+        classes = subgroup_classes(self.group)
+        dims = [fixed_subspace(self, c.representative).dim_fixed for c in classes]
+        return OrbitTypeTable(entries=tuple(
+            OrbitTypeEntry(i, d, not any(j != i and dims[j] == d and class_leq(ci, cj)
+                                         for j, cj in enumerate(classes)))
+            for i, (ci, d) in enumerate(zip(classes, dims))
+        ))
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
@@ -249,7 +258,7 @@ def direct_sum(a: OrthogonalRepresentation,
 
 def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSubspace:
     """Exact kernel of (P - I) where P averages the subgroup matrices."""
-    cached = rep._fixed_cache.get(subgroup.element_set)
+    cached = rep._fixed_cache.get(subgroup.mask)
     if cached is not None:
         return cached
     n = rep.dim
@@ -270,7 +279,7 @@ def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSu
         basis=basis,
         dim_fixed=len(basis),
     )
-    rep._fixed_cache[subgroup.element_set] = result
+    rep._fixed_cache[subgroup.mask] = result
     return result
 
 
@@ -286,7 +295,7 @@ def isotropy(rep: OrthogonalRepresentation, point) -> Subgroup:
     """Exact stabilizer of a point: the g with rho(g) X = X in integers."""
     ints, _ = _int_point(rep, point)
     fixed = tuple(rep.denom * v for v in ints)
-    return Subgroup(tuple(g for g, image in enumerate(rep.images(ints)) if image == fixed))
+    return Subgroup.of(g for g, image in enumerate(rep.images(ints)) if image == fixed)
 
 
 def orbit(rep: OrthogonalRepresentation, point) -> tuple[Vector, ...]:
@@ -296,18 +305,6 @@ def orbit(rep: OrthogonalRepresentation, point) -> tuple[Vector, ...]:
     return tuple(
         tuple(Fraction(v, den) for v in image) for image in dict.fromkeys(rep.images(ints))
     )
-
-
-def _stratum_empty(rep: OrthogonalRepresentation, subgroup: Subgroup) -> bool:
-    """Whether no point has isotropy exactly the subgroup H.
-
-    That holds iff some strictly larger subgroup fixes the whole of V^H,
-    which comparing fixed-space dimensions decides exactly (a finite union
-    of proper subspaces cannot cover a rational space).
-    """
-    d = fixed_subspace(rep, subgroup).dim_fixed
-    return any(subgroup.members < k.members and fixed_subspace(rep, k).dim_fixed == d
-               for k in all_subgroups(rep.group))
 
 
 def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
@@ -324,7 +321,7 @@ def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
     d = fs.dim_fixed
     group = rep.group
     label = class_labels(group)[fs.class_index]
-    if _stratum_empty(rep, subgroup):
+    if not rep.orbit_types.entries[fs.class_index].occupied:
         raise EmptyOrbitTypeStratum(
             f"no point has isotropy exactly ({label}): its fixed space is "
             f"covered by a larger subgroup"
@@ -358,14 +355,9 @@ def point_with_exact_isotropy(rep: OrthogonalRepresentation,
 
 def orbit_types(rep: OrthogonalRepresentation) -> OrbitTypeTable:
     """Fixed-space dimension and occupancy for every subgroup class."""
-    entries = []
-    for cls in subgroup_classes(rep.group):
-        sub = cls.representative
-        entries.append(OrbitTypeEntry(cls.class_index, fixed_subspace(rep, sub).dim_fixed,
-                                      not _stratum_empty(rep, sub)))
-    return OrbitTypeTable(entries=tuple(entries))
+    return rep.orbit_types
 
 
 def occupied_classes(rep: OrthogonalRepresentation) -> tuple[OrbitTypeEntry, ...]:
-    """The occupied rows of the orbit-type table, cached on the representation."""
-    return rep.occupied
+    """The occupied rows of the orbit-type table."""
+    return tuple(e for e in rep.orbit_types.entries if e.occupied)

@@ -229,3 +229,22 @@ def test_huge_power_is_refused_before_it_is_taken(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: expression piece has a power value out of floating-point range")
+
+
+def test_power_too_large_to_evaluate_exactly_is_refused(tmp_path, capsys):
+    # the value is about 1, inside the float range, but the exact power has
+    # about 1.2e8 bits and took minutes to compute
+    base = "1.000000000000000001"
+    group = tmp_path / "z2.json"
+    group.write_text('{"points": 2, "generators": [[1, 0]]}', encoding="utf-8")
+    rep = tmp_path / "sign.json"
+    rep.write_text('{"dim": 1, "generator_matrices": [[["-1"]]]}', encoding="utf-8")
+    the_map = tmp_path / "map.json"
+    the_map.write_text(json.dumps({"pieces": [{
+        "base_point": [base], "radius": "1/4", "epsilon": "1/4",
+        "local": {"type": "expr", "exprs": ["x1^1000000 - 1"]}}]}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["degree", "-g", str(group), "-r", str(rep), "-m", str(the_map)]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: expression piece has a power too large to evaluate exactly\n"

@@ -242,3 +242,11 @@ def test_jet_refuses_values_beyond_the_float_range():
     huge = expr.parse("x1^999999999", 1)
     assert expr.jet(huge, (Fraction(-1),), (Fraction(1),)) == (-1, 999999999)
     assert expr.jet(huge, (Fraction(0),), (Fraction(1),)) == (0, 0)
+
+
+def test_jet_refuses_powers_too_large_to_evaluate_exactly():
+    near_one = (Fraction("1.000000000000000001"),)
+    value, _ = expr.jet(expr.parse("x1^1000", 1), near_one, (Fraction(1),))
+    assert value == near_one[0] ** 1000
+    with pytest.raises(OverflowError, match="too large to evaluate exactly"):
+        expr.jet(expr.parse("x1^1000000", 1), near_one, (Fraction(1),))

@@ -230,15 +230,27 @@ def test_weyl_of_transposition_is_trivial(s3):
     normalizer = {
         g
         for g in range(s3.order)
-        if bq.group.conjugate_subgroup(s3, c2, g).members == c2.members
+        if set(bq.group.conjugate_subgroup(s3, c2, g).element_set) == set(c2.element_set)
     }
-    assert wd.normalizer.members == normalizer
+    assert set(wd.normalizer.element_set) == normalizer
     assert wd.weyl_order == 1
 
 
 def test_weyl_rejects_non_subgroup(s3):
     with pytest.raises(NotASubgroup):
-        bq.weyl_data(s3, bq.Subgroup((0, 1, 2)))
+        bq.weyl_data(s3, bq.Subgroup.of((0, 1, 2)))
+    c3 = next(s for s in bq.all_subgroups(s3) if s.order == 3)
+    # no identity, a bit at |G|, not closed
+    for candidate in [(1, 2), (0, s3.order), c3.element_set[:2]]:
+        with pytest.raises(NotASubgroup):
+            bq.weyl_data(s3, bq.Subgroup.of(candidate))
+
+
+def test_subgroup_identity_ignores_element_order():
+    a, b = bq.Subgroup.of((2, 0, 1)), bq.Subgroup.of((0, 1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a.element_set == (0, 1, 2) and a.order == 3
+    assert 2 in a and 3 not in a
 
 
 @pytest.mark.parametrize("name", MARKS_GROUPS)
@@ -254,7 +266,7 @@ def test_weyl_invariants(name):
             coset = {group.mult_table[r][h] for h in sub.element_set}
             assert not coset & covered
             covered |= coset
-        assert covered == wd.normalizer.members
+        assert covered == set(wd.normalizer.element_set)
 
 
 # ---------------------------------------------------------------- labels

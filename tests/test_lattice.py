@@ -73,7 +73,7 @@ def test_s5_lattice_contains_the_perfect_subgroup_a5():
     (a5,) = [s for s in bq.all_subgroups(s5) if s.order == 60]
     even = {g for g, p in enumerate(s5.element_perms)
             if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0}
-    assert a5.members == even
+    assert set(a5.element_set) == even
 
 
 def brute_closure(group, elements):
@@ -111,13 +111,13 @@ def joined_subgroups(group):
     """
     cyclic = {}
     for g in range(group.order):
-        cyclic.setdefault(bq.subgroup_from_elements(group, [g]).members, g)
+        cyclic.setdefault(bq.subgroup_from_elements(group, [g]).element_set, g)
     found = {(0,): ()}  # element set -> generators
     queue = [(0,)]
     for h in queue:
         inside = set(h)
         for c, g in cyclic.items():
-            if not c <= inside:
+            if not inside.issuperset(c):
                 gens = found[h] + (g,)
                 k = bq.subgroup_from_elements(group, gens).element_set
                 if k not in found:

@@ -12,7 +12,7 @@ from burneq.errors import (
     NotAHomomorphism,
     NotOrthogonal,
 )
-from groupdata import PRODUCT_CORPUS_REPS, make_rep
+from groupdata import MARKS_GROUPS, PRODUCT_CORPUS_REPS, make_group, make_rep
 
 
 def rank(m):
@@ -127,7 +127,7 @@ def test_nested_subgroups_have_nested_fixed_spaces(s3_perm):
     subs = bq.all_subgroups(s3_perm.group)
     for small in subs:
         for big in subs:
-            if small.members <= big.members:
+            if set(small.element_set) <= set(big.element_set):
                 assert (
                     bq.fixed_subspace(s3_perm, big).dim_fixed
                     <= bq.fixed_subspace(s3_perm, small).dim_fixed
@@ -197,6 +197,54 @@ def test_orbit_types_s3_perm(s3_perm):
     ]
 
 
+def stratum_empty_oracle(rep, sub):
+    """Per subgroup: no point has isotropy exactly H iff some strictly larger
+    subgroup has a fixed space of the same dimension."""
+    d = bq.fixed_subspace(rep, sub).dim_fixed
+    return any(set(sub.element_set) < set(k.element_set)
+               and bq.fixed_subspace(rep, k).dim_fixed == d
+               for k in bq.all_subgroups(rep.group))
+
+
+LARGER_GROUPS = {"S4": [[1, 0, 2, 3], [1, 2, 3, 0]], "A5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]}
+OCCUPANCY_CORPUS = list(dict.fromkeys([  # S3-perm is in both lists
+    *PRODUCT_CORPUS_REPS, *(f"{g}-{kind}" for g in MARKS_GROUPS for kind in ("perm", "regular")),
+    "S4-perm", "A5-perm"]))
+
+
+def occupancy_rep(name):
+    if name in PRODUCT_CORPUS_REPS:
+        return make_rep(name)
+    group_name, kind = name.split("-")
+    group = (make_group(group_name) if group_name in MARKS_GROUPS
+             else bq.generate_group(LARGER_GROUPS[group_name]))
+    build = bq.permutation_representation if kind == "perm" else bq.regular_representation
+    return build(group)
+
+
+@pytest.mark.parametrize("name", OCCUPANCY_CORPUS)
+def test_orbit_types_match_the_per_subgroup_oracle(name):
+    rep = occupancy_rep(name)
+    table = bq.orbit_types(rep)
+    classes = bq.subgroup_classes(rep.group)
+    assert [e.class_index for e in table.entries] == list(range(len(classes)))
+    for entry, cls in zip(table.entries, classes):
+        assert entry.dim_fixed == bq.fixed_subspace(rep, cls.representative).dim_fixed
+        assert entry.occupied == (not stratum_empty_oracle(rep, cls.representative))
+    assert bq.orbit_types(rep) is table
+
+
+def test_orbit_types_take_one_fixed_space_per_class(monkeypatch):
+    rep = bq.permutation_representation(bq.generate_group(LARGER_GROUPS["S4"]))
+    classes = bq.subgroup_classes(rep.group)
+    computed = set()
+    fixed_subspace = bq.representation.fixed_subspace
+    monkeypatch.setattr(bq.representation, "fixed_subspace",
+                        lambda r, sub: computed.add(sub.element_set) or fixed_subspace(r, sub))
+    bq.orbit_types(rep)
+    assert len(computed) <= len(classes)
+
+
 def test_witness_points_have_exact_isotropy(s3_perm):
     for cls in bq.subgroup_classes(s3_perm.group):
         try:
@@ -235,7 +283,7 @@ def test_weyl_acts_freely_on_witnesses(name):
             continue
         wd = bq.weyl_data(group, cls.representative)
         for w in wd.weyl_coset_reps:
-            if w not in cls.representative.members:
+            if w not in cls.representative:
                 assert rep.apply(w, x) != x
 
 
