@@ -2,9 +2,16 @@
 
 An element is an integer coefficient vector over the canonical subgroup-class
 order of its group. Multiplication runs through the table of marks: mark
-vectors multiply pointwise and the coefficients come back via an exact
-triangular solve. `decompose_gset` is the independent brute-force route
-(orbit counting plus stabilizers) used to cross-check that engine.
+vectors multiply pointwise and the coefficients come back by peeling: from
+the top class down, the residual entry at class j is divided exactly by the
+diagonal mark (the Weyl group order) and row j times that coefficient is
+subtracted from the residual. The marks are lower triangular, so once the
+classes above j are peeled off, the residual at j is c_j times the diagonal
+mark alone: the integer division is exact for a mark vector, and a nonzero
+remainder means the vector is not one. Zero residuals are skipped, so a
+product with k nonzero coefficients costs O(n + k·n) for n classes.
+`decompose_gset` is the independent brute-force route (orbit counting plus
+stabilizers) used to cross-check that engine.
 
 Mark convention: marks[i][j] = |(G/H_i)^{H_j}|, the number of cosets of the
 class-i representative fixed by the class-j representative. With classes in
@@ -186,23 +193,33 @@ def table_of_marks(group: FiniteGroup) -> TableOfMarks:
 
 def mark_vector(x: BurnsideElement) -> tuple[int, ...]:
     """Image of x under the mark homomorphism, one integer per class."""
-    marks = table_of_marks(x.group).marks
-    terms = [(row, c) for row, c in zip(marks, x.coeffs) if c]
-    return tuple(sum(row[j] * c for row, c in terms) for j in range(len(marks)))
+    vec = [0] * len(x.coeffs)
+    for row, c in zip(x.group.marks, x.coeffs):
+        if c:
+            vec = [v + c * m for v, m in zip(vec, row)]
+    return tuple(vec)
 
 
 def _coeffs_from_marks(group: FiniteGroup, mk: tuple[int, ...]) -> tuple[int, ...]:
-    marks = table_of_marks(group).marks
-    n = len(marks)
-    coeffs = [0] * n
-    for j in range(n - 1, -1, -1):
-        s = mk[j] - sum(marks[i][j] * coeffs[i] for i in range(j + 1, n))
-        q, r = divmod(s, marks[j][j])
-        if r != 0:
-            raise NonIntegralSolution(
-                f"mark vector is not in the image of the mark homomorphism at class {j}"
-            )
-        coeffs[j] = q
+    """Peel class rows off the mark vector from the top class down.
+
+    The residual entry popped at class j is mk[j] minus the marks at j of
+    every class above j times its coefficient. After the pop the residual
+    holds the classes below j only, so the zip takes marks[j][:j].
+    """
+    marks = group.marks
+    residual = list(mk)
+    coeffs = [0] * len(marks)
+    for j in range(len(marks) - 1, -1, -1):
+        s = residual.pop()
+        if s:
+            q, r = divmod(s, marks[j][j])
+            if r != 0:
+                raise NonIntegralSolution(
+                    f"mark vector is not in the image of the mark homomorphism at class {j}"
+                )
+            coeffs[j] = q
+            residual = [x - q * m for x, m in zip(residual, marks[j])]
     return tuple(coeffs)
 
 
@@ -213,7 +230,7 @@ def add(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
 
 
 def mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-    """Ring product via marks: pointwise product then exact triangular solve."""
+    """Ring product via marks: pointwise product, then exact peeling solve."""
     if a.group is not b.group:
         raise GroupMismatch("elements of different Burnside rings")
     ma = mark_vector(a)

@@ -22,6 +22,16 @@ GROUP_GENERATORS: dict[str, list[list[int]]] = {
     "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
 }
 
+# groups too large to sweep in every parametrized test; published lattice
+# sizes in test_lattice.py
+LARGER_GROUPS: dict[str, list[list[int]]] = {
+    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [7, 6, 5, 4, 3, 2, 1, 0]],
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+    "S4xZ2": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
+    "A5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
+    "S5": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+}
+
 MARKS_GROUPS = ["Z2", "Z4", "V4", "Z6", "S3", "D4", "Q8", "A4"]
 
 EXPECTED_ORDER = {
@@ -31,7 +41,7 @@ EXPECTED_ORDER = {
 
 @lru_cache(maxsize=None)
 def make_group(name: str) -> bq.FiniteGroup:
-    return bq.generate_group(GROUP_GENERATORS[name])
+    return bq.generate_group({**GROUP_GENERATORS, **LARGER_GROUPS}[name])
 
 
 @lru_cache(maxsize=None)

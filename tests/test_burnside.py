@@ -1,11 +1,14 @@
 """Table of marks, ring arithmetic, and the orbit-decomposition oracle."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burneq as bq
-from burneq.errors import GroupMismatch, InvalidAction
+from burneq import burnside
+from burneq.errors import GroupMismatch, InvalidAction, NonIntegralSolution
 from groupdata import MARKS_GROUPS, make_group
 
 
@@ -116,6 +119,76 @@ def test_mul_commutative_and_associative(name):
         assert bq.mul(a, b) == bq.mul(b, a)
     for a, b, c in itertools.combinations_with_replacement(basis, 3):
         assert bq.mul(bq.mul(a, b), c) == bq.mul(a, bq.mul(b, c))
+
+
+def dense_marks(group, coeffs):
+    """Oracle: the mark vector as dense dot products with the table of marks."""
+    marks = group.marks
+    return [sum(c * marks[i][j] for i, c in enumerate(coeffs)) for j in range(len(marks))]
+
+
+@lru_cache(maxsize=None)
+def basis_products(name):
+    group = make_group(name)
+    basis = [bq.basis_element(group, i) for i in range(len(bq.subgroup_classes(group)))]
+    return tuple(tuple(bq.mul(a, b).coeffs for b in basis) for a in basis)
+
+
+@pytest.mark.parametrize("name, mk, refused_at", [
+    ("Z2", (1, 0), 0),
+    ("S3", (0, 0, 1, 0), 2),
+    ("S3", (1, 1, 2, 1), 2),  # the unit's marks peel off first
+])
+def test_mark_vector_outside_the_image_is_refused(name, mk, refused_at):
+    with pytest.raises(NonIntegralSolution) as err:
+        burnside._coeffs_from_marks(make_group(name), mk)
+    assert str(err.value) == (
+        f"mark vector is not in the image of the mark homomorphism at class {refused_at}"
+    )
+
+
+@pytest.mark.parametrize("name", ["S4", "D8"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_virtual_products_multiply_marks_pointwise(name, data):
+    group = make_group(name)
+    n = len(bq.subgroup_classes(group))
+    vector = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=n, max_size=n)
+    a, b = data.draw(vector), data.draw(vector)
+    product = bq.mul(bq.BurnsideElement(group, tuple(a)), bq.BurnsideElement(group, tuple(b)))
+    assert dense_marks(group, product.coeffs) == [
+        x * y for x, y in zip(dense_marks(group, a), dense_marks(group, b))
+    ]
+    bilinear = [0] * n
+    for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+        for k, c in enumerate(basis_products(name)[i][j]):
+            bilinear[k] += x * y * c
+    assert list(product.coeffs) == bilinear
+
+
+ORACLE_COST_CAP = 200_000  # |G|^2 * |G/H| * |G/K|: the orbit oracle's work
+
+
+def test_s4xz2_ring_against_dense_marks_and_orbits():
+    group = make_group("S4xZ2")
+    classes = bq.subgroup_classes(group)
+    n = len(classes)
+    assert n == 33
+    products = basis_products("S4xZ2")
+    index = [group.order // c.representative.order for c in classes]
+    oracle_pairs = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        assert products[i][j] == products[j][i]
+        assert dense_marks(group, products[i][j]) == [
+            x * y for x, y in zip(group.marks[i], group.marks[j])
+        ]
+        if i <= j and group.order ** 2 * index[i] * index[j] <= ORACLE_COST_CAP:
+            oracle_pairs += 1
+            orbits = bq.decompose_gset(bq.product_gset(classes[i], classes[j]))
+            assert orbits.coeffs == products[i][j]
+    for i in range(n):
+        assert products[i][n - 1] == tuple(int(k == i) for k in range(n))
+    assert oracle_pairs == 312
 
 
 # ---------------------------------------------------------------- G-sets

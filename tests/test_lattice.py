@@ -13,15 +13,7 @@ import pytest
 
 import burneq as bq
 from burneq import group as group_module
-from groupdata import GROUP_GENERATORS, MARKS_GROUPS, make_group
-
-LARGER_GROUPS = {
-    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [7, 6, 5, 4, 3, 2, 1, 0]],
-    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
-    "S4xZ2": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
-    "A5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
-    "S5": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
-}
+from groupdata import GROUP_GENERATORS, LARGER_GROUPS, MARKS_GROUPS, make_group
 
 # (order, subgroups, conjugacy classes of subgroups)
 PUBLISHED = {
@@ -31,12 +23,6 @@ PUBLISHED = {
     "A5": (60, 59, 9),
     "S5": (120, 156, 19),
 }
-
-
-def group_named(name):
-    if name in GROUP_GENERATORS:
-        return make_group(name)
-    return bq.generate_group(LARGER_GROUPS[name])
 
 
 def fixed_coset_marks(group):
@@ -55,13 +41,13 @@ def fixed_coset_marks(group):
 
 @pytest.mark.parametrize("name", [*MARKS_GROUPS, "D8", "S4", "S4xZ2", "A5"])
 def test_marks_match_fixed_coset_count(name):
-    group = group_named(name)
+    group = make_group(name)
     assert bq.table_of_marks(group).marks == fixed_coset_marks(group)
 
 
 @pytest.mark.parametrize("name", sorted(PUBLISHED))
 def test_published_lattice_sizes(name):
-    group = group_named(name)
+    group = make_group(name)
     order, n_subgroups, n_classes = PUBLISHED[name]
     assert group.order == order
     assert len(bq.all_subgroups(group)) == n_subgroups
@@ -69,7 +55,7 @@ def test_published_lattice_sizes(name):
 
 
 def test_s5_lattice_contains_the_perfect_subgroup_a5():
-    s5 = group_named("S5")
+    s5 = make_group("S5")
     (a5,) = [s for s in bq.all_subgroups(s5) if s.order == 60]
     even = {g for g, p in enumerate(s5.element_perms)
             if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0}
@@ -88,7 +74,7 @@ def brute_closure(group, elements):
 
 @pytest.mark.parametrize("name", ["S4", "A5"])
 def test_subgroup_from_elements_matches_brute_closure(name):
-    group = group_named(name)
+    group = make_group(name)
     rng = random.Random(name)
     for _ in range(20):
         elements = rng.sample(range(group.order), rng.randint(1, 3))
@@ -128,7 +114,7 @@ def joined_subgroups(group):
 
 @pytest.mark.parametrize("name", [*GROUP_GENERATORS, "D8", "S4", "S4xZ2", "A5"])
 def test_lattice_matches_the_join_oracle_and_conjugation(name):
-    group = group_named(name)
+    group = make_group(name)
     assert [s.element_set for s in bq.all_subgroups(group)] == joined_subgroups(group)
     for c in bq.subgroup_classes(group):
         conjugates = {group_module.conjugate_subgroup(group, c.representative, g).element_set
