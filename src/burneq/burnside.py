@@ -264,6 +264,8 @@ def parse_element(group: FiniteGroup, text: str) -> BurnsideElement:
     label_index = {label: i for i, label in enumerate(labels)}
     coeffs = [0] * len(labels)
     s = text.strip()
+    if not s:
+        raise DescriptorError("empty element; the zero element is written 0")
     if s == "0":
         return BurnsideElement(group, tuple(coeffs))
     i = 0

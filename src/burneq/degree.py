@@ -7,10 +7,10 @@ thickness of the normal tube, and a local map on fixed-subspace coordinates
 integer index). A polystandard map is a finite list of pieces with pairwise
 disjoint orbits and tubes; its degree is the sum of local indices times the
 classes of the zero orbits. Each piece keeps the orbit of its base point,
-enumerated once when the piece is built. Disjointness is checked orbit by
-orbit, and exactly: G acts by isometries, so two orbits come closest with
-one point at its base point, and #pieces x #points integer distances
-(denominators cleared once) decide what comparing all pairs of points would.
+enumerated once when the piece is built, as integer points over one scale.
+Disjointness is checked orbit by orbit, and exactly: G acts by isometries,
+so two orbits come closest with one point at its base point, and #pieces x
+#points integer distances decide what comparing all pairs of points would.
 
 The local index is the sign of an exact, nonzero determinant: of a linear
 block, or of an expression piece's Jacobian at its base point, where it
@@ -46,13 +46,13 @@ from .errors import (
 )
 from .expr import Expr
 from .group import Subgroup, class_index_of, subgroup_classes
-from .linalg import Matrix, Vector
+from .linalg import IntOrbit, IntVector, Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
     direct_sum,
     fixed_subspace,
+    integer_orbit,
     isotropy,
-    orbit,
 )
 
 GRID_POINTS = 33  # per axis in the second-zero scan
@@ -94,7 +94,7 @@ class StandardPiece:
     radius: Fraction
     epsilon: Fraction
     local: LocalMapDef
-    orbit: tuple[Vector, ...] = field(compare=False, repr=False)
+    orbit: IntOrbit = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,8 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
         raise InvalidPiece(
             f"base point has {len(x0)} coordinates, expected {rep.dim}"
         )
-    sub = isotropy(rep, x0)
-    points = orbit(rep, x0)
-    spacing2 = linalg.min_orbit_spacing2([points])
+    sub, orb = integer_orbit(rep, x0)
+    spacing2 = linalg.min_orbit_spacing2([orb])
     if spacing2 is not None:
         default_size = linalg.rational_sqrt_floor(spacing2 / 32)
     else:
@@ -214,7 +213,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             )
     else:
         raise InvalidPiece(f"unknown local map variant: {local!r}")
-    return StandardPiece(x0, sub, radius, epsilon, local, points)
+    return StandardPiece(x0, sub, radius, epsilon, local, orb)
 
 
 def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
@@ -398,16 +397,19 @@ def _product(f: PolystandardMap, g: PolystandardMap, left, right):
         y = p.base_point
         for q, db in zip(g.pieces, right):
             # the diagonal orbits of G y x G z meet the row {y} x G z in
-            # the G_y-orbits on G z; one piece per G_y-orbit
-            covered: set[Vector] = set()
-            for z in q.orbit:
+            # the G_y-orbits on G z, marked over the scale of q.orbit; one
+            # piece per G_y-orbit
+            zs, zscale = q.orbit
+            covered: set[IntVector] = set()
+            for z in zs:
                 if z in covered:
                     continue
-                x = y + z
-                points = orbit(sum_rep, x)
-                pieces.append(StandardPiece(x, isotropy(sum_rep, x), size, size,
-                                            DeclaredLocalMap(da * db), points))
-                covered.update(w[n:] for w in points if w[:n] == y)
+                x = y + tuple(Fraction(v, zscale) for v in z)
+                sub, (points, scale) = integer_orbit(sum_rep, x)
+                pieces.append(StandardPiece(x, sub, size, size, DeclaredLocalMap(da * db),
+                                            (points, scale)))
+                covered.update(tuple(v * zscale // scale for v in w[n:])
+                               for w in points if w[:n] == points[0][:n])
                 indices.append((da, db))
     return PolystandardMap(sum_rep, tuple(pieces)), tuple(indices)
 

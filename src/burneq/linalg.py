@@ -1,21 +1,22 @@
 """Exact linear algebra over rational matrices.
 
 Matrices are tuples of row tuples of Fraction; vectors are tuples of
-Fraction. Everything here is pure and exact. Only what the package uses
-lives here; rank and row-space comparison, which only tests need, are
-built on `rref` in the test suite.
+Fraction; an orbit (`IntOrbit`) is (points, scale), integer points over one
+scale. Everything here is pure and exact. Only what the package uses lives
+here; rank and row-space comparison, which only tests need, are built on
+`rref` in the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntVector = tuple[int, ...]
+IntOrbit = tuple[tuple[IntVector, ...], int]
 
 
 def vec(items: Iterable) -> Vector:
@@ -162,34 +163,23 @@ def rational_sqrt_floor(s: Fraction) -> Fraction:
     return Fraction(isqrt(a * b), b)
 
 
-def scaled_int_points(points: Sequence[Vector]) -> tuple[list[IntVector], int]:
-    """Clear denominators: returns integer points and the common scale s.
-
-    Each returned point equals s times the original, so squared distances
-    in the integer lattice are s^2 times the exact rational ones.
-    """
-    scale = lcm(*(x.denominator for p in points for x in p))
-    ints = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
-    return ints, scale
-
-
 def int_norm2(a: IntVector, b: IntVector) -> int:
     return sum((x - y) * (x - y) for x, y in zip(a, b))
 
 
-def orbit_gaps2(orbits: Sequence[Sequence[Vector]]) -> tuple[list[list[int | None]], int]:
+def orbit_gaps2(orbits: Sequence[IntOrbit]) -> tuple[list[list[int | None]], int]:
     """Squared closest approach between orbits of one isometric action.
 
-    Each orbit lists its base point first. Returns a table whose entry
-    [i][j], j >= i, is s^2 min |a - b|^2 over a in orbit i and b in orbit
-    j, b != a if j == i (None for a one-point orbit), and the scale s that
-    clears every denominator. As |g x - b| = |x - g^-1 b|, a can stay at
-    the base point x: #orbits x #points distances give the all-pairs
-    minima exactly.
+    Each orbit is a pair (points, s_k) of integer points over a scale, base
+    point first. Returns a table whose entry [i][j], j >= i, is s^2 min
+    |a - b|^2 over a in orbit i and b in orbit j, b != a if j == i (None for
+    a one-point orbit), and s, the lcm of the s_k, to which every orbit is
+    lifted by integer multiplication. As |g x - b| = |x - g^-1 b|, a can
+    stay at the base point x: #orbits x #points distances give the
+    all-pairs minima exactly.
     """
-    flat, scale = scaled_int_points([p for orb in orbits for p in orb])
-    bounds = list(accumulate(map(len, orbits), initial=0))
-    ints = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    scale = lcm(*(s for _, s in orbits))
+    ints = [[tuple(scale // s * v for v in p) for p in points] for points, s in orbits]
     gaps: list[list[int | None]] = []
     for i, orb in enumerate(ints):
         x = orb[0]
@@ -200,7 +190,7 @@ def orbit_gaps2(orbits: Sequence[Sequence[Vector]]) -> tuple[list[list[int | Non
     return gaps, scale
 
 
-def min_orbit_spacing2(orbits: Sequence[Sequence[Vector]]) -> Fraction | None:
+def min_orbit_spacing2(orbits: Sequence[IntOrbit]) -> Fraction | None:
     """Minimum squared distance between distinct points of a union of orbits.
 
     The orbits come from one isometric action and list their base points

@@ -24,11 +24,11 @@ from .burnside import BurnsideElement
 from .degree import LinearLocalMap, PolystandardMap, StandardPiece
 from .errors import InfeasibleCoefficient, ZeroDimNegative
 from .group import Subgroup, class_labels, subgroup_classes
-from .linalg import Matrix, Vector
+from .linalg import IntOrbit, Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
     fixed_subspace,
-    orbit,
+    integer_orbit,
     witness_points,
 )
 
@@ -66,7 +66,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
     classes = subgroup_classes(group)
     labels = class_labels(group)
 
-    placements: list[tuple[Vector, Subgroup, LinearLocalMap, tuple[Vector, ...]]] = []
+    placements: list[tuple[Vector, Subgroup, LinearLocalMap, IntOrbit]] = []
     for cls, coeff in zip(classes, target.element.coeffs):
         if coeff == 0:
             continue
@@ -89,7 +89,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
             )
         points = witness_points(rep, sub, abs(coeff) if d else 1)
         local = LinearLocalMap(signed_linear_block(d, 1 if coeff > 0 else -1))
-        placements.extend((x, sub, local, orbit(rep, x)) for x in points)
+        placements.extend((x, sub, local, integer_orbit(rep, x)[1]) for x in points)
 
     spacing2 = linalg.min_orbit_spacing2([orb for *_, orb in placements])
     size = Fraction(1) if spacing2 is None else linalg.rational_sqrt_floor(spacing2 / 32)

@@ -4,8 +4,9 @@ All representation algebra is exact and runs on integers: rho(g) = A_g / D
 with A_g kept as sparse rows of (column, coefficient) pairs and D common to
 the group. A monomial (signed-permutation) row has one pair, so applying it
 is an index shuffle; a dense rational row is the same code with more pairs.
-`orbit` and `isotropy` clear a point's denominators once, x = X / s, and
-compare the integer images A_g X, which share the scale D * s; `direct_sum`
+`integer_orbit` clears a point's denominators once, x = X / s, and one pass
+of integer images A_g X gives its isotropy and its orbit, integer points
+over the scale D * s; `isotropy` and `orbit` are views of it. `direct_sum`
 stacks the rows of two validated blocks over one denominator. The exact
 Fraction matrices (`matrices`, used by `apply`) are derived on first use;
 tests check the integer kernel against them. Floats never enter here.
@@ -40,7 +41,7 @@ from .group import (
     class_leq,
     subgroup_classes,
 )
-from .linalg import IntVector, Matrix, Vector
+from .linalg import IntOrbit, IntVector, Matrix, Vector
 
 # sparse integer rows: (column, coefficient) pairs, columns ascending and
 # coefficients nonzero, so equal matrices have equal rows
@@ -283,28 +284,28 @@ def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSu
     return result
 
 
-def _int_point(rep: OrthogonalRepresentation, point) -> tuple[IntVector, int]:
+def integer_orbit(rep: OrthogonalRepresentation, point) -> tuple[Subgroup, IntOrbit]:
+    """Stabilizer and orbit of x = X / s from one pass: the g with A_g X = A_e X,
+    and the distinct images, A_e X = D X first, as integer points over D * s."""
     x = linalg.vec(point)
     if len(x) != rep.dim:
         raise DimensionMismatch(f"point has {len(x)} coordinates, expected {rep.dim}")
-    (ints,), scale = linalg.scaled_int_points([x])
-    return ints, scale
+    s = lcm(*(c.denominator for c in x))
+    images = rep.images(tuple(c.numerator * (s // c.denominator) for c in x))
+    fixed = images[0]
+    return (Subgroup.of(g for g, image in enumerate(images) if image == fixed),
+            (tuple(dict.fromkeys(images)), rep.denom * s))
 
 
 def isotropy(rep: OrthogonalRepresentation, point) -> Subgroup:
-    """Exact stabilizer of a point: the g with rho(g) X = X in integers."""
-    ints, _ = _int_point(rep, point)
-    fixed = tuple(rep.denom * v for v in ints)
-    return Subgroup.of(g for g, image in enumerate(rep.images(ints)) if image == fixed)
+    """Exact stabilizer of a point."""
+    return integer_orbit(rep, point)[0]
 
 
 def orbit(rep: OrthogonalRepresentation, point) -> tuple[Vector, ...]:
     """The orbit of a point, deduplicated exactly, in first-seen order (x first)."""
-    ints, scale = _int_point(rep, point)
-    den = rep.denom * scale
-    return tuple(
-        tuple(Fraction(v, den) for v in image) for image in dict.fromkeys(rep.images(ints))
-    )
+    points, scale = integer_orbit(rep, point)[1]
+    return tuple(tuple(Fraction(v, scale) for v in image) for image in points)
 
 
 def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
@@ -317,6 +318,8 @@ def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
     d = dim V^H ladder points and distinct t give distinct points, so on a
     nonempty stratum d * (#subgroups + count * |G|) steps suffice.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     fs = fixed_subspace(rep, subgroup)
     d = fs.dim_fixed
     group = rep.group

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import burneq as bq
 from burneq import burnside
-from burneq.errors import GroupMismatch, InvalidAction, NonIntegralSolution
+from burneq.errors import DescriptorError, GroupMismatch, InvalidAction, NonIntegralSolution
 from groupdata import MARKS_GROUPS, make_group
 
 
@@ -297,6 +297,9 @@ def test_parse_element(s3):
     assert bq.parse_element(s3, "1*[G/e] - 3*[G/(1 2)]").coeffs == (1, -3, 0, 0)
     assert bq.parse_element(s3, "-2*[G/(1 2 3)]").coeffs == (0, 0, -2, 0)
     assert bq.parse_element(s3, "0").is_zero()
+    for blank in ("", "   "):
+        with pytest.raises(DescriptorError, match="written 0"):
+            bq.parse_element(s3, blank)
 
 
 def test_parse_format_round_trip(s3):
@@ -306,7 +309,6 @@ def test_parse_format_round_trip(s3):
 
 
 def test_parse_bad_label(s3):
-    from burneq.errors import DescriptorError
     with pytest.raises(DescriptorError):
         bq.parse_element(s3, "1*[G/(9 9)]")
 

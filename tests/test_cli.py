@@ -155,6 +155,14 @@ def test_bad_element_exit_one(files, capsys):
     assert code == 1
 
 
+def test_empty_element_exit_one(files, capsys):
+    code = main(["mul", "-g", files["s3"], "-a", "", "-b", "[G/e]"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "written 0" in captured.err
+
+
 def test_check_subcommand(files, capsys):
     code = main(["check", "-g", files["s3"], "-r", files["s3rep"],
                  "--seed", "3", "--pairs", "4"])

@@ -15,6 +15,7 @@ from burneq.degree import (
     ambient_linear_map,
     conjugate_linear_piece,
 )
+from burneq.representation import OrthogonalRepresentation
 from burneq.errors import (
     GroupMismatch,
     InvalidPiece,
@@ -446,3 +447,22 @@ def test_verify_product_computes_each_factor_index_once(name, monkeypatch):
     monkeypatch.setattr(la, "det", lambda matrix: calls.append(matrix) or det(matrix))
     assert bq.verify_product(f, g).equal
     assert len(calls) == linear > 0
+
+
+@pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
+def test_one_image_pass_per_piece(name, monkeypatch):
+    rep = make_rep(name)
+    rng = random.Random(0)
+    f = fuzz.random_polystandard_map(rep, rng)
+    g = fuzz.random_polystandard_map(rep, rng)
+    calls = []
+    images = OrthogonalRepresentation.images
+    monkeypatch.setattr(OrthogonalRepresentation, "images",
+                        lambda self, point: calls.append(self) or images(self, point))
+    for p in f.pieces:
+        bq.standard_piece(rep, p.base_point, p.local, p.radius, p.epsilon)
+    assert len(calls) == len(f.pieces) > 0
+    calls.clear()
+    prod = bq.product_map(f, g)
+    assert len(calls) == len(prod.pieces) > 0
+    assert all(r is prod.rep for r in calls)  # none on the factor pieces

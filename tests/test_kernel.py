@@ -1,7 +1,8 @@
 """The integer action kernel and orbit-level geometry against Fraction brute force.
 
-`orbit` and `isotropy` run on integer rows with cleared denominators; here
-they are recomputed with `linalg.matvec` on the Fraction matrices. The
+`integer_orbit`, and `orbit` and `isotropy` through it, run on integer rows
+with cleared denominators; here they are recomputed with `linalg.matvec` on
+the Fraction matrices. The
 orbit-level spacing and overlap checks are compared with all-pairs minima
 kept in this file, `direct_sum` with a validated build of the dense block
 matrices, the one-row enumeration of diagonal orbits with a walk over all
@@ -19,6 +20,7 @@ import burneq.linalg as la
 from burneq import fuzz
 from burneq.degree import DeclaredLocalMap, StandardPiece
 from burneq.errors import DimensionMismatch, EmptyOrbitTypeStratum, OverlappingPieces
+from burneq.representation import integer_orbit
 from groupdata import PRODUCT_CORPUS_REPS, make_group, make_rep
 
 # the three-four-five rotation; conjugating by it makes rows dense rational
@@ -58,6 +60,12 @@ def brute_isotropy(rep, x):
     return tuple(g for g in range(rep.group.order) if la.matvec(rep.matrices[g], x) == x)
 
 
+def as_fractions(int_orbit):
+    """The Fraction points of an orbit kept as (integer points, scale)."""
+    points, scale = int_orbit
+    return tuple(tuple(Fraction(v, scale) for v in p) for p in points)
+
+
 def sq_dist(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
@@ -93,6 +101,10 @@ def test_orbit_and_isotropy_match_fraction_matvec(name):
     for x in sample_points(rep, rng):
         assert bq.orbit(rep, x) == brute_orbit(rep, x)
         assert bq.isotropy(rep, x).element_set == brute_isotropy(rep, x)
+        sub, (points, scale) = integer_orbit(rep, x)
+        assert points[0] == tuple(scale * c for c in x)
+        assert as_fractions((points, scale)) == brute_orbit(rep, x)
+        assert sub.element_set == brute_isotropy(rep, x)
 
 
 @pytest.mark.parametrize("name", ["S3-rotated", "D4-rotated"])
@@ -123,10 +135,11 @@ def test_orbit_spacing_equals_all_pairs(name):
         if rng.random() < 0.3:  # a second copy of an orbit from another base point
             g = rng.randrange(rep.group.order)
             bases.append(rep.apply(g, bases[0]))
-        orbits = [bq.orbit(rep, x) for x in bases]
+        orbits = [brute_orbit(rep, x) for x in bases]
+        int_orbits = [integer_orbit(rep, x)[1] for x in bases]
         expected = all_pairs_min2([p for orb in orbits for p in orb])
-        assert la.min_orbit_spacing2(orbits) == expected
-        gaps, scale = la.orbit_gaps2(orbits)
+        assert la.min_orbit_spacing2(int_orbits) == expected
+        gaps, scale = la.orbit_gaps2(int_orbits)
         for i, j in itertools.combinations(range(len(orbits)), 2):
             cross = min(sq_dist(a, b) for a in orbits[i] for b in orbits[j])
             assert Fraction(gaps[i][j], scale * scale) == cross
@@ -156,11 +169,11 @@ def test_overlap_check_agrees_with_all_pairs(name):
         # tubes around half the closest approach, so some pairs just touch
         half = la.rational_sqrt_floor(closest) / 2 if closest else Fraction(1)
         pieces = []
-        for x, orb in zip(bases, orbits):
+        for x in bases:
             tube = half * (1 + Fraction(rng.randint(-2, 2), 64))
             epsilon = tube * Fraction(rng.randint(1, 3), 4)
-            pieces.append(StandardPiece(x, bq.isotropy(rep, x), tube - epsilon, epsilon,
-                                        DeclaredLocalMap(1), orb))
+            sub, orb = integer_orbit(rep, x)
+            pieces.append(StandardPiece(x, sub, tube - epsilon, epsilon, DeclaredLocalMap(1), orb))
         expected = brute_overlap(rep, pieces)
         try:
             bq.polystandard_map(rep, pieces)
@@ -226,7 +239,8 @@ def all_rows_base_points(f, g):
 
 
 @pytest.mark.parametrize("left,right", [(name, name) for name in PRODUCT_CORPUS_REPS]
-                         + [("S3-perm", "S3-rotated"), ("S3-regular", "S3-perm")])
+                         + [("S3-perm", "S3-rotated"), ("S3-regular", "S3-perm"),
+                            ("S3-rotated", "S3-perm")])
 def test_product_pieces_match_all_rows_enumeration(left, right):
     rng = random.Random(f"product {left} {right}")
     a, b = kernel_rep(left), kernel_rep(right)
@@ -236,7 +250,7 @@ def test_product_pieces_match_all_rows_enumeration(left, right):
         prod = bq.product_map(f, g)
         assert [p.base_point for p in prod.pieces] == all_rows_base_points(f, g)
         for p in prod.pieces:
-            assert p.orbit == brute_orbit(prod.rep, p.base_point)
+            assert as_fractions(p.orbit) == brute_orbit(prod.rep, p.base_point)
 
 
 # ---------------------------------------------------------------- witness ladder

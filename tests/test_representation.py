@@ -254,6 +254,13 @@ def test_witness_points_have_exact_isotropy(s3_perm):
         assert bq.isotropy(s3_perm, x) == cls.representative
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_witness_points_need_a_positive_count(s3_perm, count):
+    for sub in (bq.all_subgroups(s3_perm.group)[0], bq.all_subgroups(s3_perm.group)[-1]):
+        with pytest.raises(ValueError, match="at least 1"):
+            bq.witness_points(s3_perm, sub, count)
+
+
 def test_witness_for_empty_stratum_raises(s3_perm):
     c3 = next(s for s in bq.all_subgroups(s3_perm.group) if s.order == 3)
     with pytest.raises(EmptyOrbitTypeStratum):
