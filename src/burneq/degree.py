@@ -14,7 +14,10 @@ so two orbits come closest with one point at its base point, and #pieces x
 
 The local index is the sign of an exact, nonzero determinant: of a linear
 block, or of an expression piece's Jacobian at its base point, where it
-must vanish exactly. Floats enter only in the heuristic second-zero scan.
+must vanish exactly. That the base point is the only zero of an expression
+piece in its ball is decided by an exact interval Krawczyk certificate;
+floats enter only in the heuristic second-zero scan, which runs only when
+the certificate is inconclusive.
 
 Products of maps over V and W live over the block sum V (+) W: each pair of
 zero orbits G y x G z splits into diagonal orbits, and every resulting piece
@@ -39,6 +42,7 @@ from . import linalg
 from .burnside import BurnsideElement, mul as ring_mul
 from .errors import (
     DimensionMismatch,
+    DivisionByZero,
     GroupMismatch,
     InvalidPiece,
     OverlappingPieces,
@@ -56,6 +60,7 @@ from .representation import (
 )
 
 GRID_POINTS = 33  # per axis in the second-zero scan
+CERTIFICATE_BOXES = 300  # boxes the Krawczyk certificate examines before the scan runs
 EXPRESSION_DIM_CAP = 3  # the grid scan is exponential in the fixed dimension
 
 
@@ -156,8 +161,10 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
     isotropy and orbit computation (the orbit is kept on the piece), the
     epsilon-versus-orbit-spacing bound, arity of the local map against dim
     V^H, the {0,1} constraint on declared indices at dimension zero, and for
-    expression pieces an exact zero at the base point and the heuristic
-    second-zero grid scan.
+    expression pieces an exact zero at the base point, then uniqueness of
+    that zero in the ball: an exact interval Krawczyk certificate decides
+    it, and the heuristic second-zero grid scan runs only when the
+    certificate is inconclusive.
     """
     x0 = linalg.vec(base_point)
     if len(x0) != rep.dim:
@@ -179,7 +186,8 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             "epsilon must stay below half the minimal spacing of the orbit"
         )
 
-    d = fixed_subspace(rep, sub).dim_fixed
+    fs = fixed_subspace(rep, sub)
+    d = fs.dim_fixed
     if isinstance(local, LinearLocalMap):
         matrix = linalg.mat(local.matrix)
         if len(matrix) != d or any(len(row) != d for row in matrix):
@@ -205,7 +213,13 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
                 raise InvalidPiece("expression local map does not vanish at the base point")
         except OverflowError as exc:
             raise InvalidPiece(f"expression piece has {exc}") from exc
-        _scan_for_second_zero(local.exprs, x0, rep, sub, radius)
+        step = float(radius) / ((GRID_POINTS - 1) // 2)  # the scan's finest step
+        if any(all(float(x) + step * float(c) == float(x) for x, c in zip(x0, b))
+               for b in fs.basis):
+            raise InvalidPiece("radius is below floating-point resolution at the base point; "
+                               "use a linear or declared local map")
+        if not _certified_unique(local.exprs, x0, fs.basis, radius):
+            _scan_for_second_zero(local.exprs, x0, rep, sub, radius)
     elif isinstance(local, DeclaredLocalMap):
         if d == 0 and local.index not in (0, 1):
             raise InvalidPiece(
@@ -216,14 +230,75 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
     return StandardPiece(x0, sub, radius, epsilon, local, orb)
 
 
+def _certified_unique(exprs: tuple[Expr, ...], x0: Vector,
+                      basis: Sequence[Vector], radius: Fraction) -> bool:
+    """Whether an exact interval Krawczyk test proves x0 the only zero of
+    the expressions on the box |u_k| <= radius, x = x0 + sum u_k b_k.
+
+    The box holds the radius ball: each `kernel_basis` vector has a 1 in its
+    own free column and a 0 in the others', so |sum u_k b_k| >= |u|. With
+    Y = F'(x0)^-1 and c the centre of a box X, K(X) = c - Y F(c) +
+    (I - Y F'(X))(X - c) (Krawczyk, Computing 4 (1969); Moore, Interval
+    Analysis (1966)). Every box must be unique (it holds x0 and K(X) lies
+    in its interior, so x0 is its only zero) or empty (0 is outside F(X),
+    or K(X) misses X). Boxes split in thirds along their widest side, so x0
+    stays inside the middle box; on a bisected box it would sit on an edge.
+    False, inconclusive, when the boxes run out, or on a divisor enclosure
+    that contains 0, a power beyond EXACT_POWER_BITS, or a singular F'(x0).
+    """
+    d = len(basis)
+    origin = (0,) * d
+    try:
+        trees = [expr_mod.restrict(e, x0, basis) for e in exprs]
+        jacobian = [[g for g, _ in expr_mod.interval_jet(t, origin, origin)[1]] for t in trees]
+        y = linalg.solve(jacobian, linalg.identity(d)) if d else ()
+        boxes = [(origin, (radius,) * d)]
+        for _ in range(CERTIFICATE_BOXES):
+            if not boxes:
+                return True
+            center, radii = boxes.pop()
+            jets = [expr_mod.interval_jet(t, center, radii) for t in trees]
+            if any(lo > 0 or hi < 0 for (lo, hi), _ in jets):
+                continue  # empty: 0 is outside F(X)
+            # row i of (I - Y F'(X))(X - c) is [-spread_i, spread_i]
+            spread = []
+            for i, row in enumerate(y):
+                total = 0
+                for k, w in enumerate(radii):
+                    lo = hi = int(i == k)
+                    for yj, (_, grad) in zip(row, jets):
+                        if yj:
+                            a, b = yj * grad[k][0], yj * grad[k][1]
+                            lo, hi = (lo - b, hi - a) if yj > 0 else (lo - a, hi - b)
+                    total += max(-lo, hi) * w
+                spread.append(total)
+            if not any(center):  # x0 is never on an edge, so X holds x0 iff c = 0
+                if all(s < w for s, w in zip(spread, radii)):
+                    continue  # unique: K(X) = x0 + [-spread, spread] lies inside X
+            else:
+                shift = linalg.matvec(
+                    y, [expr_mod.interval_jet(t, center, origin)[0][0] for t in trees])
+                if any(abs(t) > s + w for t, s, w in zip(shift, spread, radii)):
+                    continue  # empty: K(X) = c - Y F(c) + [-spread, spread] misses X
+            k = max(range(d), key=radii.__getitem__)
+            third = radii[k] / 3
+            narrow = radii[:k] + (third,) + radii[k + 1:]
+            boxes.extend((center[:k] + (center[k] + step,) + center[k + 1:], narrow)
+                         for step in (-2 * third, 0, 2 * third))
+    except (DivisionByZero, OverflowError, ZeroDivisionError):
+        return False
+    return not boxes
+
+
 def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
                           rep: OrthogonalRepresentation, sub: Subgroup,
                           radius: Fraction) -> None:
     """Reject when a sign-change cluster away from the base point shows up.
 
-    Heuristic guard only: samples a 33-per-axis grid on the radius ball in
-    fixed-subspace coordinates and flags any cell, outside a small window
-    around the origin, on which every output coordinate changes sign. The
+    Heuristic fallback, run only when `_certified_unique` is inconclusive:
+    samples a 33-per-axis grid on the radius ball in fixed-subspace
+    coordinates and flags any cell, outside a small window around the
+    origin, on which every output coordinate changes sign. The
     authoritative contract remains the caller's assertion that the base
     point is the only zero inside the ball.
     """
@@ -235,9 +310,6 @@ def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
     n = GRID_POINTS
     half = (n - 1) // 2
     steps = [r * (i - half) / half for i in range(n)]
-    if any(all(x + steps[half + 1] * c == x for x, c in zip(base, b)) for b in bf):
-        raise InvalidPiece("radius is below floating-point resolution at the base point; "
-                           "use a linear or declared local map")
 
     values: dict[tuple[int, ...], tuple[float, ...]] = {}
     r2 = r * r

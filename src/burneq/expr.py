@@ -11,7 +11,8 @@ Grammar (standard precedence, left associative):
 Numbers are decimal literals, kept and printed exactly; variables are
 x1..xn for the declared dimension; '^' takes a literal non-negative integer
 exponent and binds tighter than unary minus, so "-x1^2" means -(x1^2).
-`jet` is exact; `evaluate` and `jacobian_fd` use each literal's float.
+`jet` is exact, and so is `interval_jet`, its interval form over a box;
+`evaluate` and `jacobian_fd` use each literal's float.
 """
 
 from __future__ import annotations
@@ -69,7 +70,16 @@ class Pow:
     exponent: int
 
 
-Node = Union[Num, Var, Neg, BinOp, Pow]
+@dataclass(frozen=True)
+class Affine:
+    """c + sum_k a_k u_k: a subtree of a `restrict`ed tree, affine in u."""
+
+    const: Fraction
+    coeffs: tuple[Fraction, ...]
+
+
+Node = Union[Num, Var, Neg, BinOp, Pow, Affine]
+Interval = tuple[Fraction, Fraction]  # (lo, hi), exact endpoints
 
 
 @dataclass(frozen=True)
@@ -328,6 +338,129 @@ def jet(e: Expr, point: Sequence[Fraction],
         return a / b, (da * b - a * db) / (b * b)
 
     return ev(e.root)
+
+
+# ---------------------------------------------------------------- intervals
+
+def restrict(e: Expr, point: Sequence[Fraction],
+             basis: Sequence[Sequence[Fraction]]) -> Node:
+    """The tree of e on x = point + sum_k u_k basis[k], as a function of u.
+
+    Every subtree that is affine in u, constants among them, is folded into
+    one `Affine` leaf, once, so that `interval_jet` takes the exact range of
+    each such leaf over a box. Raises OverflowError on a constant power
+    beyond EXACT_POWER_BITS.
+    """
+    zero = (0,) * len(basis)
+
+    def scaled(a: Affine, c: Fraction) -> Affine:
+        return Affine(a.const * c, tuple(x * c for x in a.coeffs))
+
+    def constant(a: Node) -> bool:
+        return isinstance(a, Affine) and not any(a.coeffs)
+
+    def fold(node: Node) -> Node:
+        if isinstance(node, Num):
+            return Affine(node.value, zero)
+        if isinstance(node, Var):
+            j = node.index - 1
+            return Affine(point[j], tuple(b[j] for b in basis))
+        if isinstance(node, Neg):
+            a = fold(node.operand)
+            return scaled(a, -1) if isinstance(a, Affine) else Neg(a)
+        if isinstance(node, Pow):
+            a, n = fold(node.base), node.exponent
+            if n == 1:
+                return a
+            if n == 0 and isinstance(a, Affine):
+                return Affine(Fraction(1), zero)
+            if constant(a):
+                return Affine(_ipow((a.const, a.const), n)[0], zero)
+            return Pow(a, n)  # n = 0 too: x^0 = 1 only where the base is defined
+        a, b = fold(node.left), fold(node.right)
+        if isinstance(a, Affine) and isinstance(b, Affine) and node.op in "+-":
+            sign = 1 if node.op == "+" else -1
+            return Affine(a.const + sign * b.const,
+                          tuple(x + sign * y for x, y in zip(a.coeffs, b.coeffs)))
+        if node.op == "*" and constant(a) and isinstance(b, Affine):
+            return scaled(b, a.const)
+        if node.op in "*/" and isinstance(a, Affine) and constant(b) and b.const:
+            return scaled(a, b.const if node.op == "*" else 1 / b.const)
+        return BinOp(node.op, a, b)
+
+    return fold(e.root)
+
+
+def _imul(a: Interval, b: Interval) -> Interval:
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(products), max(products)
+
+
+def _ipow(v: Interval, n: int) -> Interval:
+    """The exact range of x^n over v, for n >= 1, within EXACT_POWER_BITS."""
+    lo, hi = v
+    if any(x and n * (x.numerator.bit_length() + x.denominator.bit_length()) > EXACT_POWER_BITS
+           for x in v):
+        raise OverflowError("a power too large to evaluate exactly")
+    a, b = lo ** n, hi ** n
+    if n % 2 or lo >= 0:
+        return a, b
+    return (b, a) if hi <= 0 else (0, max(a, b))
+
+
+def interval_jet(node: Node, center: Sequence[Fraction],
+                 radii: Sequence[Fraction]) -> tuple[Interval, list[Interval]]:
+    """Exact enclosures of the value and the gradient in u of a `restrict`ed
+    tree over the box |u_k - center_k| <= radii_k, in one pass.
+
+    Interval arithmetic over Fraction endpoints (Moore, Interval Analysis,
+    1966): every value the tree takes on the box lies in the value
+    interval, and every partial derivative in its gradient interval. Raises
+    DivisionByZero when a divisor's enclosure contains 0, and OverflowError
+    on a power beyond EXACT_POWER_BITS.
+    """
+    def ev(node: Node) -> tuple[Interval, list[Interval]]:
+        if isinstance(node, Affine):
+            mid, rad = node.const, 0
+            for a, c, r in zip(node.coeffs, center, radii):
+                if a:
+                    mid += a * c
+                    rad += abs(a) * r
+            return (mid - rad, mid + rad), [(a, a) for a in node.coeffs]
+        if isinstance(node, Neg):
+            (lo, hi), grad = ev(node.operand)
+            return (-hi, -lo), [(-h, -g) for g, h in grad]
+        if isinstance(node, Pow):
+            (v, dv), n = ev(node.base), node.exponent
+            if n == 0:
+                return (1, 1), [(0, 0)] * len(dv)
+            p = _ipow(v, n - 1)
+            return _ipow(v, n), [_imul((n * p[0], n * p[1]), g) for g in dv]
+        (a, da), (b, db) = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return ((a[0] + b[0], a[1] + b[1]),
+                    [(x[0] + y[0], x[1] + y[1]) for x, y in zip(da, db)])
+        if node.op == "-":
+            return ((a[0] - b[1], a[1] - b[0]),
+                    [(x[0] - y[1], x[1] - y[0]) for x, y in zip(da, db)])
+        if node.op == "*":
+            grad = []
+            for x, y in zip(da, db):
+                s, t = _imul(x, b), _imul(a, y)
+                grad.append((s[0] + t[0], s[1] + t[1]))
+            return _imul(a, b), grad
+        if b[0] <= 0 <= b[1]:
+            raise DivisionByZero("a divisor's enclosure contains zero")
+        inv = (Fraction(1) / b[1], Fraction(1) / b[0])
+        q = _imul(a, inv)
+        # d(a/b) = (da - (a/b) db) / b
+        grad = []
+        for x, y in zip(da, db):
+            t = _imul(q, y)
+            grad.append(_imul((x[0] - t[1], x[1] - t[0]), inv))
+        return q, grad
+
+    return ev(node)
 
 
 def jacobian_fd(exprs: Sequence[Expr], point: Sequence[float]) -> list[list[float]]:

@@ -95,26 +95,31 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant via Gaussian elimination; det of a 0x0 matrix is 1."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    rows = [list(r) for r in m]
-    result = Fraction(1)
+    """Exact determinant; det of a 0x0 matrix is 1.
+
+    Each row's denominators are cleared once, then fraction-free Bareiss
+    elimination runs on integers: every entry after step c is a minor of
+    the cleared matrix, so each division by the previous pivot is exact.
+    """
+    rows, scale = [], 1
+    for r in m:
+        q = lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (q // x.denominator) for x in r])
+        scale *= q
+    n, sign, prev = len(rows), 1, 1
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+            sign = -sign
+        p, tail = rows[c][c], rows[c][c + 1:]
+        for row in rows[c + 1:]:
+            f = row[c]
+            row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

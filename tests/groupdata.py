@@ -1,4 +1,5 @@
-"""Shared catalog of small test groups and representations.
+"""Shared catalog of small test groups and representations, and the
+Fraction determinant that the tests use as an oracle.
 
 Groups are cached so the per-group derived data (class tables, marks) is
 computed once per session. Q8 acts on itself by left translation with
@@ -7,6 +8,7 @@ elements ordered 1, -1, i, -i, j, -j, k, -k.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import burneq as bq
@@ -69,3 +71,25 @@ def make_rep(name: str) -> bq.OrthogonalRepresentation:
 
 
 PRODUCT_CORPUS_REPS = ["Z2-sign", "V4-signs", "S3-perm", "D4-standard"]
+
+
+def fraction_det(m) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions, independent of
+    `linalg.det`; det of a 0x0 matrix is 1."""
+    n = len(m)
+    rows = [[Fraction(x) for x in r] for r in m]
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            result = -result
+        result *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result

@@ -18,7 +18,7 @@ import burneq.linalg as la
 from burneq import expr, fuzz
 from burneq.degree import LinearLocalMap, ambient_linear_map, conjugate_linear_piece
 from burneq.errors import InfeasibleCoefficient, SingularJacobian
-from groupdata import MARKS_GROUPS, PRODUCT_CORPUS_REPS, make_group, make_rep
+from groupdata import MARKS_GROUPS, PRODUCT_CORPUS_REPS, fraction_det, make_group, make_rep
 from test_expr import oracle_jacobian, random_node
 
 CORPUS_SEED = 1729
@@ -137,7 +137,7 @@ def test_criterion_3_per_orbit_law(product_corpus):
                             )
                             sub = bq.isotropy(sum_rep, y + z)
                             basis = bq.fixed_subspace(sum_rep, sub).basis
-                            det = la.det(la.restricted_matrix(block, basis))
+                            det = fraction_det(la.restricted_matrix(block, basis))
                             assert det != 0
                             assert (1 if det > 0 else -1) == da * db
                             checked += 1
@@ -251,7 +251,7 @@ def test_criterion_7_numerical_local_index():
                 rows = [
                     [rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)
                 ]
-                exact = la.det(la.mat(rows))
+                exact = fraction_det(rows)
                 if abs(exact) < 1:
                     continue
                 exprs = [

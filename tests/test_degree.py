@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burneq as bq
+import burneq.degree as degree
 import burneq.linalg as la
 from burneq import expr, fuzz
 from burneq.degree import (
@@ -17,12 +19,14 @@ from burneq.degree import (
 )
 from burneq.representation import OrthogonalRepresentation
 from burneq.errors import (
+    DivisionByZero,
+    EmptyOrbitTypeStratum,
     GroupMismatch,
     InvalidPiece,
     OverlappingPieces,
     SingularJacobian,
 )
-from groupdata import PRODUCT_CORPUS_REPS, make_rep
+from groupdata import PRODUCT_CORPUS_REPS, fraction_det, make_group, make_rep
 
 QUARTER = Fraction(1, 4)
 
@@ -72,7 +76,7 @@ def independent_product_index(f, g, sum_rep, prod_piece):
     block = block_diag(transported(f, y), transported(g, z), nv, g.rep.dim)
     basis = bq.fixed_subspace(sum_rep, prod_piece.isotropy).basis
     restricted = la.restricted_matrix(block, basis)
-    det = la.det(restricted)
+    det = fraction_det(restricted)
     assert det != 0
     return 1 if det > 0 else -1
 
@@ -208,6 +212,137 @@ def test_second_zero_detected():
     # the same map is fine once the ball stops before the second zero
     p = bq.standard_piece(line, [0], local, radius="1/4", epsilon="1/4")
     assert bq.local_index(p, line) == -1
+
+
+# ---------------------------------------------------------------- uniqueness certificate
+
+def _tree(depth):
+    leaf = st.one_of(st.builds(lambda k: expr.Num(Fraction(k, 4)), st.integers(-8, 8)),
+                     st.builds(expr.Var, st.integers(1, 3)))
+    if depth == 0:
+        return leaf
+    sub = _tree(depth - 1)
+    return st.one_of(leaf, st.builds(expr.Neg, sub),
+                     st.builds(expr.Pow, sub, st.integers(0, 4)),
+                     st.builds(expr.BinOp, st.sampled_from("+-*/"), sub, sub))
+
+
+_SMALL = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(root=_tree(3), x0=st.lists(_SMALL, min_size=3, max_size=3),
+       basis=st.lists(st.lists(_SMALL, min_size=3, max_size=3), min_size=1, max_size=2),
+       data=st.data())
+def test_interval_jet_encloses_the_exact_jet(root, x0, basis, data):
+    """At rational points of a box, `jet`'s value and its derivative along
+    each basis vector lie in `interval_jet`'s intervals."""
+    e, d = expr.Expr(root, 3), len(basis)
+    center = data.draw(st.lists(_SMALL, min_size=d, max_size=d))
+    radii = data.draw(st.lists(st.builds(Fraction, st.integers(0, 8), st.just(8)),
+                               min_size=d, max_size=d))
+    try:
+        value, grad = expr.interval_jet(expr.restrict(e, x0, basis), center, radii)
+    except (DivisionByZero, OverflowError):
+        return  # inconclusive: the certificate hands such a box to the scan
+    for _ in range(3):
+        u = [c + r * Fraction(data.draw(st.integers(-16, 16)), 16)
+             for c, r in zip(center, radii)]
+        x = [a + sum(uk * b[j] for uk, b in zip(u, basis)) for j, a in enumerate(x0)]
+        try:
+            jets = [expr.jet(e, x, b) for b in basis]
+        except OverflowError:  # a value beyond the float range, which jet refuses
+            continue
+        assert value[0] <= jets[0][0] <= value[1]
+        assert all(lo <= dv <= hi for (lo, hi), (_, dv) in zip(grad, jets))
+
+
+def cubic_piece(rep, d, rng, second_zero=False):
+    """perfbench's expression piece: L + L^3 with L(x0 + sum u_k b_k) = M u
+    for a seeded scaled signed permutation M, at a point whose isotropy has
+    dim V^H = d, in its default ball of radius r. With `second_zero`, the
+    first expression is L_1 (L_1 - a) instead, which vanishes again at
+    distance r/2 from x0 along a basis vector. Returns the arguments of
+    `standard_piece` and det M."""
+    classes = [c for c in bq.subgroup_classes(rep.group)
+               if bq.fixed_subspace(rep, c.representative).dim_fixed == d]
+    rng.shuffle(classes)
+    for cls in classes:
+        try:
+            x0 = bq.point_with_exact_isotropy(rep, cls.representative)
+        except EmptyOrbitTypeStratum:
+            continue
+        break
+    basis = bq.fixed_subspace(rep, cls.representative).basis
+    perm = list(range(d))
+    rng.shuffle(perm)
+    m = la.mat([[rng.choice((-3, -2, -1, 1, 2, 3)) if j == perm[i] else 0 for j in range(d)]
+                for i in range(d)])
+    # (B B^T)^-1 B (x - x0) = u on x = x0 + B^T u
+    coeff = la.matmul(m, la.solve(la.matmul(basis, la.transpose(basis)), basis))
+    linear = [" + ".join(f"({c})*(x{j + 1} - ({x0[j]}))" for j, c in enumerate(row) if c)
+              for row in coeff]
+    sources = [f"({l}) + ({l})^3" for l in linear]
+    if second_zero:
+        radius = bq.standard_piece(rep, x0, DeclaredLocalMap(1)).radius
+        a = m[0][perm[0]] * radius / 2
+        sources[0] = f"({linear[0]}) * ({linear[0]} - ({a}))"
+    local = ExpressionLocalMap(tuple(expr.parse(src, rep.dim) for src in sources))
+    return (rep, x0, local), fraction_det(m)
+
+
+CUBIC_GROUPS = [("D4", 2), ("S4", 3), ("A5", 1)]
+
+
+@pytest.mark.parametrize("group, d", CUBIC_GROUPS)
+def test_certificate_decides_cubic_pieces(group, d, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(degree, "_scan_for_second_zero", no_scan)
+    rep = bq.permutation_representation(make_group(group))
+    rng = random.Random(f"cubic:{group}")
+    for _ in range(4):
+        args, det = cubic_piece(rep, d, rng)
+        assert bq.local_index(bq.standard_piece(*args), rep) == (1 if det > 0 else -1)
+
+
+def _spy_on_the_scan(monkeypatch):
+    scans = []
+    scan = degree._scan_for_second_zero
+    monkeypatch.setattr(degree, "_scan_for_second_zero",
+                        lambda *args: scans.append(args) or scan(*args))
+    return scans
+
+
+@pytest.mark.parametrize("group, d", CUBIC_GROUPS)
+def test_second_zero_in_the_box_is_never_certified(group, d, monkeypatch):
+    scans = _spy_on_the_scan(monkeypatch)
+    rep = bq.permutation_representation(make_group(group))
+    rng = random.Random(f"second zero:{group}")
+    for k in range(3):
+        args, _ = cubic_piece(rep, d, rng, second_zero=True)
+        with pytest.raises(InvalidPiece, match="possible second zero"):
+            bq.standard_piece(*args)
+        assert len(scans) == k + 1
+
+
+@pytest.mark.parametrize("source, accepted", [
+    ("x1 / (x1*x1 - x1 + 1)", True),  # the divisor's enclosure on [-1, 1] is [-1, 3]
+    ("x1 * (x1 - 0.5) / (x1*x1 - x1 + 1)", False),
+    ("x1^3", True),  # F'(x0) = 0
+    ("x1 * x1 * (x1 - 0.5)", False),
+])
+def test_inconclusive_certificate_runs_the_scan(source, accepted, monkeypatch):
+    scans = _spy_on_the_scan(monkeypatch)
+    line = bq.trivial_representation(bq.generate_group([[0]]), 1)
+    local = ExpressionLocalMap((expr.parse(source, 1),))
+    if accepted:
+        bq.standard_piece(line, [0], local, radius=1, epsilon=1)
+    else:
+        with pytest.raises(InvalidPiece, match="possible second zero"):
+            bq.standard_piece(line, [0], local, radius=1, epsilon=1)
+    assert len(scans) == 1
 
 
 def test_overlapping_pieces_rejected(z2_sign):

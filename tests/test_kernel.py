@@ -6,7 +6,8 @@ the Fraction matrices. The
 orbit-level spacing and overlap checks are compared with all-pairs minima
 kept in this file, `direct_sum` with a validated build of the dense block
 matrices, the one-row enumeration of diagonal orbits with a walk over all
-rows, and the witness ladder with brute-force isotropy and orbits.
+rows, the witness ladder with brute-force isotropy and orbits, and the
+integer Bareiss determinant with Fraction elimination.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burneq as bq
 import burneq.linalg as la
@@ -21,7 +23,7 @@ from burneq import fuzz
 from burneq.degree import DeclaredLocalMap, StandardPiece
 from burneq.errors import DimensionMismatch, EmptyOrbitTypeStratum, OverlappingPieces
 from burneq.representation import integer_orbit
-from groupdata import PRODUCT_CORPUS_REPS, make_group, make_rep
+from groupdata import PRODUCT_CORPUS_REPS, fraction_det, make_group, make_rep
 
 # the three-four-five rotation; conjugating by it makes rows dense rational
 ROTATION = la.mat([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
@@ -276,3 +278,31 @@ def test_witness_points_exact_and_on_distinct_orbits(name):
         assert all(brute_isotropy(rep, x) == sub.element_set for x in points)
         orbits = [set(brute_orbit(rep, x)) for x in points]
         assert all(not a & b for a, b in itertools.combinations(orbits, 2))
+
+
+# ---------------------------------------------------------------- determinant
+
+@st.composite
+def rational_matrices(draw):
+    """Square matrices of small rationals; some repeat a row or a multiple of
+    one, so singular matrices are drawn as well."""
+    n = draw(st.integers(0, 6))
+    entry = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3, 7]))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = [draw(entry) * x for x in rows[j]]
+    return la.mat(rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(rational_matrices())
+def test_bareiss_det_equals_fraction_elimination(m):
+    assert la.det(m) == fraction_det(m)
+
+
+def test_bareiss_det_on_a_dense_block():
+    rng = random.Random(0)
+    m = la.mat([[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)])
+    assert la.det(m) == fraction_det(m) != 0
+    assert la.det(la.mat([[Fraction(1, 3), 0], [0, 0]])) == 0
