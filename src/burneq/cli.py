@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and equal sides for `product`), 1 input errors
 (malformed flags included) or a failed product check, 2 infeasible
-realization targets, 3 internal assertion failures.
+realization targets, 3 internal assertion failures, 141 a closed stdout
+(what a shell reports after SIGPIPE, as in `burneq ... | head -n 1`).
 """
 
 from __future__ import annotations
@@ -342,7 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the handlers
+        return status
+    except BrokenPipeError:  # the reader has gone: send the rest nowhere, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InfeasibleCoefficient, EmptyOrbitTypeStratum) as exc:
         reason = {
             "error": type(exc).__name__,
@@ -355,10 +361,7 @@ def main(argv=None) -> int:
     except (NonIntegralSolution, InvalidAction, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except BurneqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BurneqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -219,7 +219,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             raise InvalidPiece("radius is below floating-point resolution at the base point; "
                                "use a linear or declared local map")
         if not _certified_unique(local.exprs, x0, fs.basis, radius):
-            _scan_for_second_zero(local.exprs, x0, rep, sub, radius)
+            _scan_for_second_zero(local.exprs, x0, fs.basis, radius)
     elif isinstance(local, DeclaredLocalMap):
         if d == 0 and local.index not in (0, 1):
             raise InvalidPiece(
@@ -291,8 +291,7 @@ def _certified_unique(exprs: tuple[Expr, ...], x0: Vector,
 
 
 def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
-                          rep: OrthogonalRepresentation, sub: Subgroup,
-                          radius: Fraction) -> None:
+                          basis: Sequence[Vector], radius: Fraction) -> None:
     """Reject when a sign-change cluster away from the base point shows up.
 
     Heuristic fallback, run only when `_certified_unique` is inconclusive:
@@ -302,7 +301,6 @@ def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
     authoritative contract remains the caller's assertion that the base
     point is the only zero inside the ball.
     """
-    basis = fixed_subspace(rep, sub).basis
     d = len(basis)
     r = float(radius)
     base = [float(c) for c in x0]

@@ -2,9 +2,10 @@
 
 Matrices are tuples of row tuples of Fraction; vectors are tuples of
 Fraction; an orbit (`IntOrbit`) is (points, scale), integer points over one
-scale. Everything here is pure and exact. Only what the package uses lives
-here; rank and row-space comparison, which only tests need, are built on
-`rref` in the test suite.
+scale. Everything here is pure and exact. Kernels, solves and determinants
+all come from one fraction-free elimination on integers, `_echelon`. Only
+what the package uses lives here; the Fraction reduced row echelon form
+that the tests use as an oracle lives in the test suite.
 """
 
 from __future__ import annotations
@@ -52,93 +53,86 @@ def msub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _echelon(m: Sequence[Sequence], full: bool = True
+             ) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
 
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of the null space, one vector per free column."""
-    if not m:
-        return []
-    rows, pivots = rref(m)
-    ncols = len(m[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def det(m: Matrix) -> Fraction:
-    """Exact determinant; det of a 0x0 matrix is 1.
-
-    Each row's denominators are cleared once, then fraction-free Bareiss
-    elimination runs on integers: every entry after step c is a minor of
-    the cleared matrix, so each division by the previous pivot is exact.
+    Each row's denominators are cleared once; then, for each pivot p in
+    column c, every other row becomes (p * row - row[c] * pivot_row) //
+    prev, prev the pivot before p. Every entry stays a minor of the cleared
+    matrix, so each division is exact (Bareiss, Math. Comp. 22 (1968);
+    Nakos, Turner and Williams, SIGSAM Bull. 31(3) (1997)), and each pivot
+    row ends with the last pivot in its pivot column: row / pivot is the
+    reduced row echelon form. With full=False only the rows below a pivot
+    are reduced, right of it, and the walk stops at the first column
+    without a pivot, as a determinant needs no more. Returns (rows, pivot
+    columns, sign of the row swaps, product of the row denominators).
     """
     rows, scale = [], 1
     for r in m:
         q = lcm(*(x.denominator for x in r))
         rows.append([x.numerator * (q // x.denominator) for x in r])
         scale *= q
-    n, sign, prev = len(rows), 1, 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            if full:
+                continue
+            break
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
             sign = -sign
-        p, tail = rows[c][c], rows[c][c + 1:]
-        for row in rows[c + 1:]:
+        p, lo = rows[r][c], 0 if full else c + 1
+        tail = rows[r][lo:]
+        for row in rows[:r] + rows[r + 1:] if full else rows[r + 1:]:
             f = row[c]
-            row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            row[lo:] = [(p * x - f * y) // prev for x, y in zip(row[lo:], tail)]
+        pivots.append(c)
         prev = p
-    return Fraction(sign * prev, scale)
+    return rows, pivots, sign, scale
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Canonical basis of the null space, one vector per free column: 1 in
+    its own free column, 0 in the others', read off the reduced form."""
+    if not m:
+        return []
+    rows, pivots, _, _ = _echelon(m)
+    ncols = len(m[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis: list[Vector] = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(v))
+    return basis
+
+
+def det(m: Matrix) -> Fraction:
+    """Exact determinant; det of a 0x0 matrix is 1. The forward half of
+    `_echelon` leaves the determinant of the cleared matrix, up to the sign
+    of the row swaps, as the last pivot."""
+    rows, pivots, sign, scale = _echelon(m, full=False)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1], scale) if rows else Fraction(1)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a X = b for square invertible a, exactly."""
+    """Solve a X = b for square invertible a, exactly; ZeroDivisionError
+    when a is singular."""
     n = len(a)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    width = len(rows[0])
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix in solve")
-        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return tuple(tuple(r[n:width]) for r in rows)
+    rows, pivots, _, _ = _echelon([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix in solve")
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(rows))
 
 
 def columns(basis: Sequence[Vector]) -> Matrix:

@@ -258,22 +258,18 @@ def direct_sum(a: OrthogonalRepresentation,
 # ---------------------------------------------------------------- fixed spaces
 
 def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSubspace:
-    """Exact kernel of (P - I) where P averages the subgroup matrices."""
+    """Exact kernel of P - I, P = sum_h A_h / (|H| D) averaging the subgroup
+    matrices, taken fraction-free as the kernel of sum_h A_h - |H| D I."""
     cached = rep._fixed_cache.get(subgroup.mask)
     if cached is not None:
         return cached
-    n = rep.dim
-    total = [[0] * n for _ in range(n)]
+    n, scale = rep.dim, subgroup.order * rep.denom
+    total = [[-scale if i == j else 0 for j in range(n)] for i in range(n)]
     for h in subgroup.element_set:
         for acc, row in zip(total, rep.rows[h]):
             for j, c in row:
                 acc[j] += c
-    scale = subgroup.order * rep.denom
-    delta = tuple(
-        tuple(Fraction(total[i][j], scale) - (1 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-    basis = tuple(linalg.kernel_basis(delta))
+    basis = tuple(linalg.kernel_basis(total))
     result = FixedSubspace(
         subgroup=subgroup,
         class_index=class_index_of(rep.group, subgroup),
@@ -341,12 +337,15 @@ def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
             sum(Fraction(t) ** (k + 1) * b[j] for k, b in enumerate(fs.basis))
             for j in range(rep.dim)
         )
-        if x in taken or isotropy(rep, x) != subgroup:
+        if x in taken:
+            continue
+        stabilizer, (images, scale) = integer_orbit(rep, x)
+        if stabilizer != subgroup:
             continue
         points.append(x)
         if len(points) == count:
             return points
-        taken.update(orbit(rep, x))
+        taken.update(tuple(Fraction(v, scale) for v in image) for image in images)
     raise AssertionError("witness ladder exhausted on a nonempty stratum")
 
 

@@ -1,5 +1,6 @@
 """Shared catalog of small test groups and representations, and the
-Fraction determinant that the tests use as an oracle.
+Fraction elimination (reduced row echelon form, kernel, determinant) that
+the tests use as an oracle for the fraction-free `linalg`.
 
 Groups are cached so the per-group derived data (class tables, marks) is
 computed once per session. Q8 acts on itself by left translation with
@@ -93,3 +94,46 @@ def fraction_det(m) -> Fraction:
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return result
+
+
+def fraction_rref(m) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan over Fractions, independent
+    of `linalg`; returns (rows, pivot column indices)."""
+    rows = [[Fraction(x) for x in r] for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def fraction_kernel(m) -> list[tuple[Fraction, ...]]:
+    """The canonical null-space basis read off `fraction_rref`: one vector
+    per free column, 1 there, 0 in the other free columns."""
+    if not m:
+        return []
+    rows, pivots = fraction_rref(m)
+    ncols = len(m[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis

@@ -1,10 +1,15 @@
-"""CLI golden outputs and exit codes (runs main() in process)."""
+"""CLI golden outputs and exit codes (runs main() in process; the closed
+stdout test runs it in a subprocess)."""
 
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import burneq
 from burneq import cli
 from burneq.cli import main
 
@@ -119,6 +124,28 @@ def test_degree_round_trip_through_realize(files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "deg = 1*[G/e] + 2*[G/(1 2)]"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_141_silently(files, unbuffered):
+    # `burneq degree ... | head -n 1` once the reader has gone: no error
+    # message, and the status a shell reports after SIGPIPE, whether the
+    # write fails at once or only when the buffered stdout is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(burneq.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from burneq.cli import main; sys.exit(main())",
+             "degree", "-g", files["z2"], "-r", files["sign"], "-m", files["zmap"]],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_degree_json_format(files, capsys):

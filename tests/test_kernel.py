@@ -7,7 +7,8 @@ orbit-level spacing and overlap checks are compared with all-pairs minima
 kept in this file, `direct_sum` with a validated build of the dense block
 matrices, the one-row enumeration of diagonal orbits with a walk over all
 rows, the witness ladder with brute-force isotropy and orbits, and the
-integer Bareiss determinant with Fraction elimination.
+fraction-free elimination (kernels, fixed subspaces, solves, determinants)
+with Fraction elimination.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from burneq import fuzz
 from burneq.degree import DeclaredLocalMap, StandardPiece
 from burneq.errors import DimensionMismatch, EmptyOrbitTypeStratum, OverlappingPieces
 from burneq.representation import integer_orbit
-from groupdata import PRODUCT_CORPUS_REPS, fraction_det, make_group, make_rep
+from groupdata import PRODUCT_CORPUS_REPS, fraction_det, fraction_kernel, make_group, make_rep
 
 # the three-four-five rotation; conjugating by it makes rows dense rational
 ROTATION = la.mat([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
@@ -306,3 +307,73 @@ def test_bareiss_det_on_a_dense_block():
     m = la.mat([[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)])
     assert la.det(m) == fraction_det(m) != 0
     assert la.det(la.mat([[Fraction(1, 3), 0], [0, 0]])) == 0
+
+
+# ---------------------------------------------------------------- elimination
+
+ENTRY = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@st.composite
+def shaped_matrices(draw, square=False):
+    """Wide, tall and square matrices of small integers or small rationals;
+    some rows are a multiple of another row plus a third, and some columns
+    are zero, so rank-deficient matrices are drawn as well."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    entry = ENTRY if draw(st.booleans()) else st.builds(Fraction, st.integers(-5, 5))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        i, j, *rest = draw(st.permutations(range(nrows)))
+        c = draw(entry)
+        extra = rows[rest[0]] if rest else [0] * ncols
+        rows[i] = [c * x + y for x, y in zip(rows[j], extra)]
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = Fraction(0)
+    return la.mat(rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(shaped_matrices())
+def test_kernel_basis_equals_the_fraction_rref_kernel(m):
+    basis = la.kernel_basis(m)
+    assert basis == fraction_kernel(m)
+    zero = tuple(Fraction(0) for _ in m)
+    assert all(la.matvec(m, v) == zero for v in basis)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(shaped_matrices(square=True), st.data())
+def test_solve_and_det_against_fraction_elimination(a, data):
+    width = data.draw(st.integers(1, 3))
+    b = la.mat(data.draw(st.lists(st.lists(ENTRY, min_size=width, max_size=width),
+                                  min_size=len(a), max_size=len(a))))
+    exact = fraction_det(a)
+    assert la.det(a) == exact
+    if exact == 0:
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            la.solve(a, b)
+    else:
+        assert la.matmul(a, la.solve(a, b)) == b
+
+
+def fixed_space_rep(name):
+    if name == "S4-perm":
+        return bq.permutation_representation(make_group("S4"))
+    if name == "Q8-regular":
+        return bq.regular_representation(make_group("Q8"))
+    return make_rep(name)
+
+
+@pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS + ["S4-perm", "S3-regular", "Q8-regular"])
+def test_fixed_subspace_bases_equal_the_fraction_rref_kernel(name):
+    rep = fixed_space_rep(name)
+    for sub in bq.all_subgroups(rep.group):
+        mats = [rep.matrices[h] for h in sub.element_set]
+        p_minus_i = tuple(
+            tuple(sum(m[i][j] for m in mats) / sub.order - (i == j) for j in range(rep.dim))
+            for i in range(rep.dim)
+        )
+        assert bq.fixed_subspace(rep, sub).basis == tuple(fraction_kernel(p_minus_i))

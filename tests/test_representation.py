@@ -12,17 +12,17 @@ from burneq.errors import (
     NotAHomomorphism,
     NotOrthogonal,
 )
-from groupdata import MARKS_GROUPS, PRODUCT_CORPUS_REPS, make_group, make_rep
+from groupdata import MARKS_GROUPS, PRODUCT_CORPUS_REPS, fraction_rref, make_group, make_rep
 
 
 def rank(m):
-    return len(la.rref(m)[1])
+    return len(fraction_rref(m)[1])
 
 
 def row_space_equal(a, b):
     """Whether two vector lists span the same subspace."""
-    ra = la.rref(tuple(a))[0] if a else []
-    rb = la.rref(tuple(b))[0] if b else []
+    ra = fraction_rref(tuple(a))[0] if a else []
+    rb = fraction_rref(tuple(b))[0] if b else []
     strip = lambda rows: [tuple(r) for r in rows if any(x != 0 for x in r)]
     return strip(ra) == strip(rb)
 
