@@ -15,9 +15,9 @@ so two orbits come closest with one point at its base point, and #pieces x
 The local index is the sign of an exact, nonzero determinant: of a linear
 block, or of an expression piece's Jacobian at its base point, where it
 must vanish exactly. That the base point is the only zero of an expression
-piece in its ball is decided by an exact interval Krawczyk certificate;
-floats enter only in the heuristic second-zero scan, which runs only when
-the certificate is inconclusive.
+piece in its ball is proved by an exact interval Krawczyk certificate, or
+the piece is refused. No decision here uses floating-point arithmetic; the
+float range bounds expression inputs only as a limit on what is accepted.
 
 Products of maps over V and W live over the block sum V (+) W: each pair of
 zero orbits G y x G z splits into diagonal orbits, and every resulting piece
@@ -59,9 +59,7 @@ from .representation import (
     isotropy,
 )
 
-GRID_POINTS = 33  # per axis in the second-zero scan
-CERTIFICATE_BOXES = 300  # boxes the Krawczyk certificate examines before the scan runs
-EXPRESSION_DIM_CAP = 3  # the grid scan is exponential in the fixed dimension
+CERTIFICATE_BOXES = 300  # boxes the Krawczyk certificate examines before it refuses a piece
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,10 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
     isotropy and orbit computation (the orbit is kept on the piece), the
     epsilon-versus-orbit-spacing bound, arity of the local map against dim
     V^H, the {0,1} constraint on declared indices at dimension zero, and for
-    expression pieces an exact zero at the base point, then uniqueness of
-    that zero in the ball: an exact interval Krawczyk certificate decides
-    it, and the heuristic second-zero grid scan runs only when the
-    certificate is inconclusive.
+    expression pieces an exact zero at the base point with a nonsingular
+    Jacobian (SingularJacobian otherwise), then uniqueness of that zero in
+    the ball, which an exact interval Krawczyk certificate proves or the
+    piece is refused (`_certify_unique`).
     """
     x0 = linalg.vec(base_point)
     if len(x0) != rep.dim:
@@ -202,24 +200,14 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             )
         if any(e.dim != rep.dim for e in local.exprs):
             raise InvalidPiece("expressions must use ambient variables x1..xn")
-        if d > EXPRESSION_DIM_CAP:
-            raise InvalidPiece(
-                f"expression pieces support fixed dimension <= {EXPRESSION_DIM_CAP}"
-            )
         if any(abs(c) > sys.float_info.max for c in (*x0, radius)):
             raise InvalidPiece("expression piece coordinates are out of floating-point range")
         try:
             if any(expr_mod.jet(e, x0, (0,) * rep.dim)[0] for e in local.exprs):
                 raise InvalidPiece("expression local map does not vanish at the base point")
+            _certify_unique(local.exprs, x0, fs.basis, radius)
         except OverflowError as exc:
             raise InvalidPiece(f"expression piece has {exc}") from exc
-        step = float(radius) / ((GRID_POINTS - 1) // 2)  # the scan's finest step
-        if any(all(float(x) + step * float(c) == float(x) for x, c in zip(x0, b))
-               for b in fs.basis):
-            raise InvalidPiece("radius is below floating-point resolution at the base point; "
-                               "use a linear or declared local map")
-        if not _certified_unique(local.exprs, x0, fs.basis, radius):
-            _scan_for_second_zero(local.exprs, x0, fs.basis, radius)
     elif isinstance(local, DeclaredLocalMap):
         if d == 0 and local.index not in (0, 1):
             raise InvalidPiece(
@@ -230,119 +218,89 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
     return StandardPiece(x0, sub, radius, epsilon, local, orb)
 
 
-def _certified_unique(exprs: tuple[Expr, ...], x0: Vector,
-                      basis: Sequence[Vector], radius: Fraction) -> bool:
-    """Whether an exact interval Krawczyk test proves x0 the only zero of
-    the expressions on the box |u_k| <= radius, x = x0 + sum u_k b_k.
+def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
+                    basis: Sequence[Vector], radius: Fraction) -> None:
+    """Prove, by an exact interval Krawczyk test, that x0 is the only zero
+    of the expressions on the ball |u| <= radius, x = x0 + sum u_k b_k.
 
-    The box holds the radius ball: each `kernel_basis` vector has a 1 in its
-    own free column and a 0 in the others', so |sum u_k b_k| >= |u|. With
-    Y = F'(x0)^-1 and c the centre of a box X, K(X) = c - Y F(c) +
-    (I - Y F'(X))(X - c) (Krawczyk, Computing 4 (1969); Moore, Interval
-    Analysis (1966)). Every box must be unique (it holds x0 and K(X) lies
-    in its interior, so x0 is its only zero) or empty (0 is outside F(X),
-    or K(X) misses X). Boxes split in thirds along their widest side, so x0
-    stays inside the middle box; on a bisected box it would sit on an edge.
-    False, inconclusive, when the boxes run out, or on a divisor enclosure
-    that contains 0, a power beyond EXACT_POWER_BITS, or a singular F'(x0).
+    The ball holds the piece's radius ball: each `kernel_basis` vector has
+    a 1 in its own free column and a 0 in the others', so |sum u_k b_k| >=
+    |u|. The boxes live in the coordinates v = J u, with J = F'(x0) read
+    exactly off the restricted trees at u = 0, so that G(v) = F(J^-1 v) has
+    G'(0) = I and the Krawczyk operator needs no preconditioner: K(X) = c -
+    G(c) + (I - G'(X))(X - c) (Krawczyk, Computing 4 (1969); Moore,
+    Interval Analysis (1966)). The first box, |v_i| <= radius |J_i|, holds
+    the image of the ball; a box whose u-range misses the ball is dropped.
+    Every other box must be unique (it holds x0 and K(X) lies in its
+    interior, so x0 is its only zero) or empty (0 is outside G(X), or K(X)
+    misses X); the rest, and a box on which a divisor's enclosure contains
+    0, split in thirds along their widest side, so x0 stays inside the
+    middle box; on a bisected box it would sit on an edge. Raises
+    SingularJacobian when J is singular, InvalidPiece when
+    CERTIFICATE_BOXES boxes do not decide the ball, and OverflowError on a
+    power beyond EXACT_POWER_BITS.
     """
     d = len(basis)
     origin = (0,) * d
-    try:
-        trees = [expr_mod.restrict(e, x0, basis) for e in exprs]
-        jacobian = [[g for g, _ in expr_mod.interval_jet(t, origin, origin)[1]] for t in trees]
-        y = linalg.solve(jacobian, linalg.identity(d)) if d else ()
-        boxes = [(origin, (radius,) * d)]
-        for _ in range(CERTIFICATE_BOXES):
-            if not boxes:
-                return True
-            center, radii = boxes.pop()
-            jets = [expr_mod.interval_jet(t, center, radii) for t in trees]
-            if any(lo > 0 or hi < 0 for (lo, hi), _ in jets):
-                continue  # empty: 0 is outside F(X)
-            # row i of (I - Y F'(X))(X - c) is [-spread_i, spread_i]
-            spread = []
-            for i, row in enumerate(y):
-                total = 0
-                for k, w in enumerate(radii):
-                    lo = hi = int(i == k)
-                    for yj, (_, grad) in zip(row, jets):
-                        if yj:
-                            a, b = yj * grad[k][0], yj * grad[k][1]
-                            lo, hi = (lo - b, hi - a) if yj > 0 else (lo - a, hi - b)
-                    total += max(-lo, hi) * w
-                spread.append(total)
-            if not any(center):  # x0 is never on an edge, so X holds x0 iff c = 0
-                if all(s < w for s, w in zip(spread, radii)):
-                    continue  # unique: K(X) = x0 + [-spread, spread] lies inside X
-            else:
-                shift = linalg.matvec(
-                    y, [expr_mod.interval_jet(t, center, origin)[0][0] for t in trees])
-                if any(abs(t) > s + w for t, s, w in zip(shift, spread, radii)):
-                    continue  # empty: K(X) = c - Y F(c) + [-spread, spread] misses X
-            k = max(range(d), key=radii.__getitem__)
-            third = radii[k] / 3
-            narrow = radii[:k] + (third,) + radii[k + 1:]
-            boxes.extend((center[:k] + (center[k] + step,) + center[k + 1:], narrow)
-                         for step in (-2 * third, 0, 2 * third))
-    except (DivisionByZero, OverflowError, ZeroDivisionError):
-        return False
-    return not boxes
+    trees = [expr_mod.restrict(e, x0, basis) for e in exprs]
+    jacobian = [[g for g, _ in expr_mod.interval_jet(t, origin, origin)[1]] for t in trees]
+    _det_sign(jacobian)  # raises SingularJacobian, as local_index would
+    y = linalg.solve(jacobian, linalg.identity(d))
+    trees = [expr_mod.substitute(t, y) for t in trees]
+    r2 = radius * radius
+    widths = []
+    for row in jacobian:
+        # |v_i| <= sqrt(a / b) on the ball, and ceil(sqrt(a b)) / b >= sqrt(a / b)
+        a, b = (r2 * sum(g * g for g in row)).as_integer_ratio()
+        widths.append(Fraction(math.isqrt(a * b - 1) + 1, b))
+    boxes = [(origin, tuple(widths))]
+    for _ in range(CERTIFICATE_BOXES):
+        if not boxes:
+            return
+        center, radii = boxes.pop()
+        if any(center):
+            # squared distance from 0 to the box's u-range, row by row of u = J^-1 v
+            gap2 = sum(max(abs(sum(a * c for a, c in zip(row, center) if a))
+                           - sum(abs(a) * w for a, w in zip(row, radii) if a), 0) ** 2
+                       for row in y)
+            if gap2 > r2:
+                continue  # no point of the box lies in the ball
+        try:
+            if _krawczyk_decides(trees, center, radii):
+                continue
+        except DivisionByZero:
+            pass  # a divisor's enclosure contains 0
+        k = max(range(d), key=radii.__getitem__)
+        third = radii[k] / 3
+        narrow = radii[:k] + (third,) + radii[k + 1:]
+        boxes.extend((center[:k] + (center[k] + step,) + center[k + 1:], narrow)
+                     for step in (-2 * third, 0, 2 * third))
+    if boxes:
+        raise InvalidPiece("cannot certify the base point as the only zero in the radius ball; "
+                           "shrink the radius")
 
 
-def _scan_for_second_zero(exprs: tuple[Expr, ...], x0: Vector,
-                          basis: Sequence[Vector], radius: Fraction) -> None:
-    """Reject when a sign-change cluster away from the base point shows up.
-
-    Heuristic fallback, run only when `_certified_unique` is inconclusive:
-    samples a 33-per-axis grid on the radius ball in fixed-subspace
-    coordinates and flags any cell, outside a small window around the
-    origin, on which every output coordinate changes sign. The
-    authoritative contract remains the caller's assertion that the base
-    point is the only zero inside the ball.
-    """
-    d = len(basis)
-    r = float(radius)
-    base = [float(c) for c in x0]
-    bf = [[float(c) for c in b] for b in basis]
-    n = GRID_POINTS
-    half = (n - 1) // 2
-    steps = [r * (i - half) / half for i in range(n)]
-
-    values: dict[tuple[int, ...], tuple[float, ...]] = {}
-    r2 = r * r
-    for idx in itertools.product(range(n), repeat=d):
-        u = [steps[i] for i in idx]
-        if sum(x * x for x in u) > r2 * (1 + 1e-12):
-            continue
-        ambient = list(base)
-        for k in range(d):
-            uk = u[k]
-            if uk != 0.0:
-                row = bf[k]
-                for j in range(len(ambient)):
-                    ambient[j] += uk * row[j]
-        values[idx] = tuple(expr_mod._ev(e.root, ambient) for e in exprs)
-
-    corners = list(itertools.product((0, 1), repeat=d))
-    for cell in itertools.product(range(n - 1), repeat=d):
-        if all(half - 3 <= c <= half + 2 for c in cell):
-            continue  # window around the known zero at the origin
-        cell_values = []
-        for delta in corners:
-            v = values.get(tuple(c + e for c, e in zip(cell, delta)))
-            if v is None:
-                break
-            cell_values.append(v)
-        else:
-            if all(
-                min(v[i] for v in cell_values) <= 0.0 <= max(v[i] for v in cell_values)
-                for i in range(len(exprs))
-            ):
-                raise InvalidPiece(
-                    "possible second zero inside the radius ball; shrink the "
-                    "radius or adjust the local map"
-                )
+def _krawczyk_decides(trees: Sequence[expr_mod.Node], center: Sequence[Fraction],
+                      radii: Sequence[Fraction]) -> bool:
+    """Whether the box |v - center| <= radii is empty or unique for the
+    trees G, with G'(0) = I; raises DivisionByZero as `interval_jet` does."""
+    grads = []
+    for t in trees:
+        (lo, hi), grad = expr_mod.interval_jet(t, center, radii)
+        if lo > 0 or hi < 0:
+            return True  # empty: 0 is outside G(X)
+        grads.append(grad)
+    # row i of (I - G'(X))(X - c) is [-spread_i, spread_i]
+    spread = [sum(max(hi - (i == k), (i == k) - lo) * w
+                  for k, ((lo, hi), w) in enumerate(zip(grad, radii)))
+              for i, grad in enumerate(grads)]
+    if not any(center):  # x0 is never on an edge, so X holds x0 iff c = 0
+        # unique: K(X) = x0 + [-spread, spread] lies inside X
+        return all(s < w for s, w in zip(spread, radii))
+    # empty: K(X) = c - G(c) + [-spread, spread] misses X
+    origin = (0,) * len(center)
+    return any(abs(expr_mod.interval_jet(t, center, origin)[0][0]) > s + w
+               for t, s, w in zip(trees, spread, radii))
 
 
 def polystandard_map(rep: OrthogonalRepresentation, pieces) -> PolystandardMap:

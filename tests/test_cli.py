@@ -302,21 +302,30 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: burneq check")
 
 
-@pytest.mark.parametrize("radius, code", [("1/1" + "0" * 400, 1), ("1/1" + "0" * 20, 1),
-                                          ("1/1000", 0)], ids=["1e-400", "1e-20", "1e-3"])
-def test_expression_radius_against_float_resolution(files, capsys, radius, code):
+@pytest.mark.parametrize("radius", ["1/1" + "0" * 400, "1/1" + "0" * 20, "1/1000"],
+                         ids=["1e-400", "1e-20", "1e-3"])
+def test_expression_radius_against_float_resolution(files, capsys, radius):
+    # the certificate is exact, so a radius below float resolution is fine
     path = files["dir"] / "tiny.json"
     path.write_text(json.dumps({"rep": None, "pieces": [{
         "base_point": ["1"], "radius": radius, "epsilon": "1/4",
         "local": {"type": "expr", "exprs": ["x1 - 1"]}}]}), encoding="utf-8")
-    assert main(["degree", "-g", files["z2"], "-r", files["sign"], "-m", str(path)]) == code
+    assert main(["degree", "-g", files["z2"], "-r", files["sign"], "-m", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "deg = 1*[G/e]"
+
+
+def test_second_zero_in_the_ball_is_a_one_line_error(tmp_path, capsys):
+    group = tmp_path / "trivial.json"
+    group.write_text('{"points": 1, "generators": [[0]]}', encoding="utf-8")
+    rep = tmp_path / "line.json"
+    rep.write_text('{"dim": 1, "generator_matrices": [[["1"]]]}', encoding="utf-8")
+    the_map = tmp_path / "map.json"
+    the_map.write_text(json.dumps({"pieces": [{
+        "base_point": ["0"], "radius": "1", "epsilon": "1",
+        "local": {"type": "expr", "exprs": ["x1*(x1 - 0.5)"]}}]}), encoding="utf-8")
+    assert main(["degree", "-g", str(group), "-r", str(rep), "-m", str(the_map)]) == 1
     out, err = capsys.readouterr()
-    if code:
-        assert out == "" and err.count("\n") == 1
-        assert "below floating-point resolution" in err
-        assert "linear or declared local map" in err
-    else:
-        assert out.splitlines()[0] == "deg = 1*[G/e]"
+    assert out == "" and err.count("\n") == 1 and "shrink the radius" in err
 
 
 def test_degree_of_a_small_nonzero_determinant(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import burneq as bq
-import burneq.degree as degree
 import burneq.linalg as la
 from burneq import expr, fuzz
 from burneq.degree import (
@@ -94,15 +93,15 @@ def test_sign_block_has_index_minus_one(s3_perm):
     assert bq.local_index(p, s3_perm) == -1
 
 
-def test_cubic_is_singular(z2_sign):
-    # V^G = {0} for the sign action, so put the cubic on the trivial group
+def test_cubic_is_singular():
+    # V^G = {0} for the sign action, so put the cubic on the trivial group;
+    # the uniqueness certificate needs F'(x0), so standard_piece refuses it
     triv = bq.generate_group([[0]])
     line = bq.trivial_representation(triv, 1)
-    p = bq.standard_piece(
-        line, [0], ExpressionLocalMap((expr.parse("x1^3", 1),)), radius=1, epsilon=1
-    )
-    with pytest.raises(SingularJacobian):
-        bq.local_index(p, line)
+    with pytest.raises(SingularJacobian, match="exactly zero at the base point"):
+        bq.standard_piece(
+            line, [0], ExpressionLocalMap((expr.parse("x1^3", 1),)), radius=1, epsilon=1
+        )
 
 
 def test_expression_index_plus_one():
@@ -185,11 +184,15 @@ def test_expression_arity_checked(s3_perm):
 
 
 def test_expression_dimension_cap():
+    # there is no cap: the certificate decides d = 4 pieces too
     triv = bq.generate_group([[0]])
     big = bq.trivial_representation(triv, 4)
     local = ExpressionLocalMap(tuple(expr.parse(f"x{i + 1}", 4) for i in range(4)))
-    with pytest.raises(InvalidPiece):
-        bq.standard_piece(big, [0, 0, 0, 0], local, radius=1, epsilon=1)
+    p = bq.standard_piece(big, [0, 0, 0, 0], local, radius=1, epsilon=1)
+    assert bq.local_index(p, big) == 1
+    local, det = dense_cubic(4, random.Random("dense cubic:4"))
+    p = bq.standard_piece(big, [0, 0, 0, 0], local, radius=1, epsilon=1)
+    assert bq.local_index(p, big) == (1 if det > 0 else -1)
 
 
 def test_expression_must_vanish_at_base():
@@ -244,7 +247,7 @@ def test_interval_jet_encloses_the_exact_jet(root, x0, basis, data):
     try:
         value, grad = expr.interval_jet(expr.restrict(e, x0, basis), center, radii)
     except (DivisionByZero, OverflowError):
-        return  # inconclusive: the certificate hands such a box to the scan
+        return  # the certificate splits such a box, or refuses the piece
     for _ in range(3):
         u = [c + r * Fraction(data.draw(st.integers(-16, 16)), 16)
              for c, r in zip(center, radii)]
@@ -295,11 +298,7 @@ CUBIC_GROUPS = [("D4", 2), ("S4", 3), ("A5", 1)]
 
 
 @pytest.mark.parametrize("group, d", CUBIC_GROUPS)
-def test_certificate_decides_cubic_pieces(group, d, monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("the scan ran")
-
-    monkeypatch.setattr(degree, "_scan_for_second_zero", no_scan)
+def test_certificate_decides_cubic_pieces(group, d):
     rep = bq.permutation_representation(make_group(group))
     rng = random.Random(f"cubic:{group}")
     for _ in range(4):
@@ -307,42 +306,55 @@ def test_certificate_decides_cubic_pieces(group, d, monkeypatch):
         assert bq.local_index(bq.standard_piece(*args), rep) == (1 if det > 0 else -1)
 
 
-def _spy_on_the_scan(monkeypatch):
-    scans = []
-    scan = degree._scan_for_second_zero
-    monkeypatch.setattr(degree, "_scan_for_second_zero",
-                        lambda *args: scans.append(args) or scan(*args))
-    return scans
-
-
 @pytest.mark.parametrize("group, d", CUBIC_GROUPS)
-def test_second_zero_in_the_box_is_never_certified(group, d, monkeypatch):
-    scans = _spy_on_the_scan(monkeypatch)
+def test_second_zero_in_the_box_is_never_certified(group, d):
+    # on A5 the second zero lies at ambient distance (r/2) sqrt(5), outside
+    # the radius ball but inside the ball |u| <= r the certificate covers
     rep = bq.permutation_representation(make_group(group))
     rng = random.Random(f"second zero:{group}")
-    for k in range(3):
+    for _ in range(3):
         args, _ = cubic_piece(rep, d, rng, second_zero=True)
-        with pytest.raises(InvalidPiece, match="possible second zero"):
+        with pytest.raises(InvalidPiece, match="shrink the radius"):
             bq.standard_piece(*args)
-        assert len(scans) == k + 1
 
 
-@pytest.mark.parametrize("source, accepted", [
-    ("x1 / (x1*x1 - x1 + 1)", True),  # the divisor's enclosure on [-1, 1] is [-1, 3]
-    ("x1 * (x1 - 0.5) / (x1*x1 - x1 + 1)", False),
-    ("x1^3", True),  # F'(x0) = 0
-    ("x1 * x1 * (x1 - 0.5)", False),
-])
-def test_inconclusive_certificate_runs_the_scan(source, accepted, monkeypatch):
-    scans = _spy_on_the_scan(monkeypatch)
+def dense_cubic(d, rng):
+    """L + L^3 with L = M x for a seeded nonsingular M with entries in
+    [-3, 3], on the trivial representation of dimension d; returns the local
+    map and det M. L + L^3 vanishes only where L does, at 0."""
+    while True:
+        m = la.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        det = fraction_det(m)
+        if det:
+            break
+    linear = [" + ".join(f"({c})*x{j + 1}" for j, c in enumerate(row) if c) for row in m]
+    return ExpressionLocalMap(tuple(expr.parse(f"({l}) + ({l})^3", d) for l in linear)), det
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_certificate_decides_dense_cubic_pieces(d):
+    space = bq.trivial_representation(bq.generate_group([[0]]), d)
+    rng = random.Random(f"dense cubic:{d}")
+    for _ in range(20):
+        local, det = dense_cubic(d, rng)
+        p = bq.standard_piece(space, [0] * d, local, radius=1, epsilon=1)
+        assert bq.local_index(p, space) == (1 if det > 0 else -1)
+
+
+@pytest.mark.parametrize("source, refusal", [
+    ("x1 / (x1*x1 - x1 + 1)", None),  # the divisor's enclosure on [-1, 1] is [-1, 3]
+    ("x1 * (x1 - 0.5) / (x1*x1 - x1 + 1)", InvalidPiece),
+    ("x1^3", SingularJacobian),  # F'(x0) = 0
+    ("x1 * x1 * (x1 - 0.5)", SingularJacobian),
+], ids=["divisor", "divisor-second-zero", "cube", "square-second-zero"])
+def test_certificate_on_divisors_and_flat_zeros(source, refusal):
     line = bq.trivial_representation(bq.generate_group([[0]]), 1)
     local = ExpressionLocalMap((expr.parse(source, 1),))
-    if accepted:
+    if refusal is None:
         bq.standard_piece(line, [0], local, radius=1, epsilon=1)
     else:
-        with pytest.raises(InvalidPiece, match="possible second zero"):
+        with pytest.raises(refusal):
             bq.standard_piece(line, [0], local, radius=1, epsilon=1)
-    assert len(scans) == 1
 
 
 def test_overlapping_pieces_rejected(z2_sign):
