@@ -8,8 +8,10 @@ diagonal mark (the Weyl group order) and row j times that coefficient is
 subtracted from the residual. The marks are lower triangular, so once the
 classes above j are peeled off, the residual at j is c_j times the diagonal
 mark alone: the integer division is exact for a mark vector, and a nonzero
-remainder means the vector is not one. Zero residuals are skipped, so a
-product with k nonzero coefficients costs O(n + k·n) for n classes.
+remainder means the vector is not one. Zero residuals are skipped. Mark
+row i vanishes above class i, so a product's marks vanish above the lower
+of its factors' top classes m, and only those m entries are built and
+peeled: a product with k nonzero coefficients costs O(m + k·m).
 `decompose_gset` is the independent brute-force route (orbit counting plus
 stabilizers) used to cross-check that engine.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DescriptorError, GroupMismatch, InvalidAction, NonIntegralSolution
 from .group import (
@@ -193,15 +196,28 @@ def table_of_marks(group: FiniteGroup) -> TableOfMarks:
 
 def mark_vector(x: BurnsideElement) -> tuple[int, ...]:
     """Image of x under the mark homomorphism, one integer per class."""
-    vec = [0] * len(x.coeffs)
-    for row, c in zip(x.group.marks, x.coeffs):
-        if c:
-            vec = [v + c * m for v, m in zip(vec, row)]
-    return tuple(vec)
+    support = _support(x)
+    return tuple(_mark_prefix(x.group, support, len(x.coeffs))) if support else x.coeffs
 
 
-def _coeffs_from_marks(group: FiniteGroup, mk: tuple[int, ...]) -> tuple[int, ...]:
-    """Peel class rows off the mark vector from the top class down.
+def _support(x: BurnsideElement) -> list[tuple[int, int]]:
+    """The (class index, coefficient) pairs with a nonzero coefficient, ascending."""
+    return [(i, c) for i, c in enumerate(x.coeffs) if c]
+
+
+def _mark_prefix(group: FiniteGroup, support: list[tuple[int, int]], m: int) -> list[int]:
+    """The first m entries of the mark vector of the element with this support."""
+    marks = group.marks
+    (i, c), *rest = support
+    vec = [c * r for r in marks[i][:m]]
+    for i, c in rest:
+        vec = [v + c * r for v, r in zip(vec, marks[i])]
+    return vec
+
+
+def _coeffs_from_marks(group: FiniteGroup, mk: Sequence[int]) -> tuple[int, ...]:
+    """Peel class rows off a mark vector, or a prefix of one that vanishes
+    beyond it, from its top entry down.
 
     The residual entry popped at class j is mk[j] minus the marks at j of
     every class above j times its coefficient. After the pop the residual
@@ -210,7 +226,7 @@ def _coeffs_from_marks(group: FiniteGroup, mk: tuple[int, ...]) -> tuple[int, ..
     marks = group.marks
     residual = list(mk)
     coeffs = [0] * len(marks)
-    for j in range(len(marks) - 1, -1, -1):
+    for j in range(len(residual) - 1, -1, -1):
         s = residual.pop()
         if s:
             q, r = divmod(s, marks[j][j])
@@ -230,14 +246,19 @@ def add(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
 
 
 def mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-    """Ring product via marks: pointwise product, then exact peeling solve."""
+    """Ring product via marks: pointwise product, then exact peeling solve.
+
+    The marks of a vanish above its top class, so the product's marks vanish
+    above the lower of the two tops, and only that prefix is built and peeled.
+    """
     if a.group is not b.group:
         raise GroupMismatch("elements of different Burnside rings")
-    ma = mark_vector(a)
-    mb = mark_vector(b)
-    return BurnsideElement(
-        a.group, _coeffs_from_marks(a.group, tuple(x * y for x, y in zip(ma, mb)))
-    )
+    sa, sb = _support(a), _support(b)
+    if not (sa and sb):
+        return zero_element(a.group)
+    m = min(sa[-1][0], sb[-1][0]) + 1
+    ma, mb = _mark_prefix(a.group, sa, m), _mark_prefix(a.group, sb, m)
+    return BurnsideElement(a.group, _coeffs_from_marks(a.group, [x * y for x, y in zip(ma, mb)]))
 
 
 # ---------------------------------------------------------------- text and CSV forms

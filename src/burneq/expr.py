@@ -18,6 +18,7 @@ exponent and binds tighter than unary minus, so "-x1^2" means -(x1^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from sys import float_info
@@ -378,10 +379,11 @@ def restrict(e: Expr, point: Sequence[Fraction],
                 return Affine(_ipow((a.const, a.const), n)[0], zero)
             return Pow(a, n)  # n = 0 too: x^0 = 1 only where the base is defined
         a, b = fold(node.left), fold(node.right)
-        if isinstance(a, Affine) and isinstance(b, Affine) and node.op in "+-":
-            sign = 1 if node.op == "+" else -1
-            return Affine(a.const + sign * b.const,
-                          tuple(x + sign * y for x, y in zip(a.coeffs, b.coeffs)))
+        if isinstance(a, Affine) and isinstance(b, Affine):
+            if node.op == "+":
+                return Affine(a.const + b.const, tuple(map(operator.add, a.coeffs, b.coeffs)))
+            if node.op == "-":
+                return Affine(a.const - b.const, tuple(map(operator.sub, a.coeffs, b.coeffs)))
         if node.op == "*" and constant(a) and isinstance(b, Affine):
             return scaled(b, a.const)
         if node.op in "*/" and isinstance(a, Affine) and constant(b) and b.const:

@@ -2,11 +2,15 @@
 
 Group elements are integers 0..order-1 with 0 the identity, numbered by the
 closure of the permutation generators, which is all a constructor computes.
-Everything derived from it (multiplication table, inverses, subgroup classes
-as bitmask joins of class representatives with cyclic subgroups, the subgroup
-list as the union of their members, labels, and marks counted from class
-members) is a lazy `cached_property` on the group. A subgroup is its element
-bitmask, a layout no other module reads, so set questions are int operations.
+Everything derived from it is a lazy `cached_property` on the group: the
+multiplication table, stepped column by column along the closure by one
+generator each; inverses; subgroup classes as bitmask joins of one member of
+each class with one zuppo (cyclic subgroup of prime-power order) per orbit
+of its normalizer, each class keeping that normalizer and a conjugating
+element per member, from which `weyl_data` reads any subgroup's normalizer;
+the subgroup list as the union of their members; labels; and marks counted
+from class members. A subgroup is its element bitmask, a layout no other
+module reads, so set questions are int operations.
 
 The class order is canonical and deterministic: ascending subgroup order,
 ties broken by the sorted element set of the lexicographically smallest
@@ -15,8 +19,9 @@ class member. Coefficient vectors of Burnside elements index into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from .errors import EmptyGeneratorList, GroupMismatch, NotASubgroup, OrderCapExceeded
 
@@ -75,9 +80,19 @@ class FiniteGroup:
 
     @cached_property
     def mult_table(self) -> tuple[tuple[int, ...], ...]:
+        """Filled column by column along the closure's construction.
+
+        Element b is its parent p composed with generator g, so a*b = (a*p)*g:
+        column b is column p stepped by g, a lookup in the table of right
+        multiplications by the generators, which takes |G|·k compositions.
+        """
         elems = self.element_perms
         index = {p: i for i, p in enumerate(elems)}
-        return tuple(tuple(index[compose(a, b)] for b in elems) for a in elems)
+        steps = [tuple(index[compose(e, g)] for e in elems) for g in self.generator_perms]
+        columns: list[Sequence[int]] = [range(self.order)]
+        for parent, gi in self.construction[1:]:
+            columns.append(tuple(map(steps[gi].__getitem__, columns[parent])))
+        return tuple(zip(*columns))
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -91,37 +106,55 @@ class FiniteGroup:
 
     @cached_property
     def classes(self) -> tuple[SubgroupClass, ...]:
-        """One join of each class representative with each cyclic subgroup outside it.
+        """Joins of one member R of each class with one zuppo per orbit of N(R).
 
-        A subgroup K > 1 is <H, c> for H maximal in K and c in K outside H.
-        If H = R^x with R the representative of its class, then
-        <H, c> = <R, x c x^-1>^x, so these joins reach every class, and perfect
-        subgroups too (joins by normalizing elements only would miss A5 in S5).
-        A join not seen before is a new class; all its conjugates are marked
-        seen. Classes are sorted by order, then by the element set of their
-        smallest member, which is the representative.
+        A zuppo is a cyclic subgroup of prime-power order. A subgroup K > 1 is
+        <H, c> for H maximal in K and c in K outside H. c is the product of
+        its prime-power parts, which are powers of c, so one of them, z, lies
+        outside H, and <H, z> = K by maximality. If H = x R x^-1, then
+        <H, z> = x <R, x^-1 z x> x^-1, so joins of R with the zuppos outside
+        it reach every class, perfect subgroups too (joins by normalizing
+        elements only would miss A5 in S5). For n in N(R), <R, z^n> =
+        <R, z>^n lies in the same class, so one zuppo per N(R)-orbit
+        suffices; this is Neubüser's cyclic extension. A join not seen before
+        is a new class. One conjugation pass over G lists its members, one
+        conjugating element for each, and its normalizer. Classes are sorted
+        by order, then by the element set of their smallest member, which is
+        the representative.
         """
         mult, inv = self.mult_table, self.inverse
-        cyclic: dict[int, int] = {}  # mask -> smallest generator
-        for g in range(self.order):
-            cyclic.setdefault(_generate(mult, (g,)), g)
+        cyclic = [_generate(mult, (g,)) for g in range(self.order)]
+        zuppos: dict[int, int] = {}  # mask -> smallest generator
+        for g, c in enumerate(cyclic):
+            if _is_prime_power(c.bit_count()):
+                zuppos.setdefault(c, g)
+        # per class: the join found, its generators, its normalizer, member mask -> x with x k x^-1
+        found: list[tuple[int, tuple[int, ...], Sequence[int], dict[int, int]]] = [
+            (1, (), range(self.order), {1: 0})]
         seen = {1}
-        queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]  # representative mask, generators
-        members = [[1]]  # per class, the masks of its members in canonical order
-        for h, gens in queue:
-            for c, g in cyclic.items():
-                if c & ~h:
+        for h, gens, normalizer, _ in found:
+            joined: set[int] = set()  # the zuppos in the N(h)-orbits joined so far
+            for c, g in zuppos.items():
+                if c & ~h and c not in joined:
+                    joined.update(cyclic[mult[mult[n][g]][inv[n]]] for n in normalizer)
                     k = _generate(mult, gens + (g,))
                     if k not in seen:
-                        elems = _elements(k)
-                        conjugates = {sum(1 << mult[mult[x][e]][inv[x]] for e in elems)
-                                      for x in range(self.order)}
-                        seen |= conjugates
-                        queue.append((k, gens + (g,)))
-                        members.append(sorted(conjugates, key=_elements))
-        members.sort(key=lambda m: (m[0].bit_count(), _elements(m[0])))
-        return tuple(SubgroupClass(self, subs[0], subs, i)
-                     for i, subs in enumerate(tuple(map(Subgroup, m)) for m in members))
+                        normalizer_k, conjugators = _conjugation_pass(mult, inv, k)
+                        seen.update(conjugators)
+                        found.append((k, gens + (g,), normalizer_k, conjugators))
+        classes = []
+        for _, _, normalizer, conjugators in found:
+            # re-based on the representative r = y k y^-1: N(r) = y N(k) y^-1,
+            # and m = x k x^-1 = (x y^-1) r (x y^-1)^-1
+            members = sorted(conjugators, key=_elements)
+            y = conjugators[members[0]]
+            row, yi = mult[y], inv[y]
+            classes.append((members, Subgroup(sum(1 << mult[row[n]][yi] for n in normalizer)),
+                            {m: mult[x][yi] for m, x in conjugators.items()}))
+        classes.sort(key=lambda c: (c[0][0].bit_count(), _elements(c[0][0])))
+        return tuple(SubgroupClass(self, Subgroup(members[0]), tuple(map(Subgroup, members)), i,
+                                   normalizer, conjugators)
+                     for i, (members, normalizer, conjugators) in enumerate(classes))
 
     @cached_property
     def class_of(self) -> dict[int, int]:
@@ -194,12 +227,18 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """A conjugacy class of subgroups in canonical class order."""
+    """A conjugacy class of subgroups in canonical class order.
+
+    It keeps the normalizer of its representative R and, per member mask,
+    one element x with x R x^-1 that member.
+    """
 
     group: FiniteGroup
     representative: Subgroup
     members: tuple[Subgroup, ...]
     class_index: int
+    normalizer: Subgroup = field(compare=False, repr=False)
+    conjugators: dict[int, int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -229,11 +268,37 @@ def _elements(mask: int) -> tuple[int, ...]:
     return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")  # bit 0 first
 
 
-def is_subgroup(group: FiniteGroup, candidate: Subgroup) -> bool:
-    """Identity inside, no bit at or above |G|, and closed: the elements generate it."""
-    m = candidate.mask
-    return (m & 1 == 1 and m >> group.order == 0
-            and _generate(group.mult_table, candidate.element_set) == m)
+def _conjugation_pass(mult, inv, k: int) -> tuple[list[int], dict[int, int]]:
+    """The normalizer of k, and its conjugates x k x^-1 mapped to their least x.
+
+    Every element of the left coset x k conjugates k as x does, so one
+    conjugation per coset, by its least element, covers G.
+    """
+    elems = _elements(k)
+    normalizer: list[int] = []
+    conjugators: dict[int, int] = {}
+    covered = bytearray(len(mult))
+    for x, row in enumerate(mult):
+        if not covered[x]:
+            coset = [row[h] for h in elems]
+            for c in coset:
+                covered[c] = 1
+            xi = inv[x]
+            m = sum(1 << mult[c][xi] for c in coset)  # c k c^-1 = x k x^-1 for c in x k
+            conjugators.setdefault(m, x)
+            if m == k:
+                normalizer += coset
+    return normalizer, conjugators
+
+
+def _is_prime_power(n: int) -> bool:
+    """Whether n = p^a for a prime p and a >= 1."""
+    if n < 2:
+        return False
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
@@ -273,27 +338,23 @@ def class_leq(a: SubgroupClass, b: SubgroupClass) -> bool:
 
 
 def weyl_data(group: FiniteGroup, subgroup: Subgroup) -> WeylData:
-    if not is_subgroup(group, subgroup):
-        raise NotASubgroup(f"{subgroup.element_set!r} is not a subgroup")
-    mult, inv = group.mult_table, group.inverse
-    mask, elems = subgroup.mask, subgroup.element_set
-    normalizer: list[int] = []
+    """N(H) = x N(R) x^-1 for H = x R x^-1 in the class of R, from the class's
+    normalizer and conjugating element. Walking N(H) in ascending order, each
+    element outside the cosets met so far is the next Weyl coset representative.
+    """
+    cls = subgroup_classes(group)[class_index_of(group, subgroup)]
+    normalizer = conjugate_subgroup(group, cls.normalizer, cls.conjugators[subgroup.mask])
+    mult, elems = group.mult_table, subgroup.element_set
     reps: list[int] = []
     covered: set[int] = set()
-    for g in range(group.order):
-        row, gi = mult[g], inv[g]
-        for h in elems:  # g H g^-1 has |H| elements, so it is H once it lies inside H
-            if not mask >> mult[row[h]][gi] & 1:
-                break
-        else:
-            normalizer.append(g)
-            if g not in covered:
-                reps.append(g)
-                covered.update(row[h] for h in elems)
+    for g in normalizer.element_set:
+        if g not in covered:
+            reps.append(g)
+            covered.update(mult[g][h] for h in elems)
     return WeylData(
         subgroup=subgroup,
-        normalizer=Subgroup.of(normalizer),
-        weyl_order=len(normalizer) // subgroup.order,
+        normalizer=normalizer,
+        weyl_order=normalizer.order // subgroup.order,
         weyl_coset_reps=tuple(reps),
     )
 

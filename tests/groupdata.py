@@ -1,6 +1,8 @@
-"""Shared catalog of small test groups and representations, and the
-Fraction elimination (reduced row echelon form, kernel, determinant) that
-the tests use as an oracle for the fraction-free `linalg`.
+"""Shared catalog of small test groups and representations, and oracles:
+the Fraction elimination (reduced row echelon form, kernel, determinant)
+for the fraction-free `linalg`; the multiplication table by composing every
+pair of permutations; the Weyl data by scanning G for elements normalizing
+the subgroup; and the ring product over the full mark vectors.
 
 Groups are cached so the per-group derived data (class tables, marks) is
 computed once per session. Q8 acts on itself by left translation with
@@ -33,6 +35,7 @@ LARGER_GROUPS: dict[str, list[list[int]]] = {
     "S4xZ2": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
     "A5": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],
     "S5": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+    "S6": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]],
 }
 
 MARKS_GROUPS = ["Z2", "Z4", "V4", "Z6", "S3", "D4", "Q8", "A4"]
@@ -137,3 +140,52 @@ def fraction_kernel(m) -> list[tuple[Fraction, ...]]:
             v[p] = -row[f]
         basis.append(tuple(v))
     return basis
+
+
+def compose_mult_table(group: bq.FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """mult[a][b] = index of perm_a composed after perm_b, by |G|^2 compositions."""
+    elems = group.element_perms
+    index = {p: i for i, p in enumerate(elems)}
+    return tuple(tuple(index[tuple(a[x] for x in b)] for b in elems) for a in elems)
+
+
+def scan_weyl_data(group: bq.FiniteGroup, subgroup: bq.Subgroup) -> bq.WeylData:
+    """The normalizer by testing g H g^-1 <= H for every g in G, and a Weyl
+    coset representative at each normalizer element, ascending, that no
+    earlier coset covers."""
+    mult, inv = group.mult_table, group.inverse
+    elems = subgroup.element_set
+    normalizer: list[int] = []
+    reps: list[int] = []
+    covered: set[int] = set()
+    for g in range(group.order):
+        if all(mult[mult[g][h]][inv[g]] in subgroup for h in elems):
+            normalizer.append(g)
+            if g not in covered:
+                reps.append(g)
+                covered.update(mult[g][h] for h in elems)
+    return bq.WeylData(
+        subgroup=subgroup,
+        normalizer=bq.Subgroup.of(normalizer),
+        weyl_order=len(normalizer) // subgroup.order,
+        weyl_coset_reps=tuple(reps),
+    )
+
+
+def full_peel_mul(a: bq.BurnsideElement, b: bq.BurnsideElement) -> bq.BurnsideElement:
+    """The ring product from full mark vectors, peeled over every class from
+    the top down."""
+    marks = a.group.marks
+    n = len(marks)
+
+    def mark_vector(x):
+        return [sum(c * marks[i][j] for i, c in enumerate(x.coeffs)) for j in range(n)]
+
+    residual = [x * y for x, y in zip(mark_vector(a), mark_vector(b))]
+    coeffs = [0] * n
+    for j in range(n - 1, -1, -1):
+        q, r = divmod(residual[j], marks[j][j])
+        assert r == 0, f"not a mark vector at class {j}"
+        coeffs[j] = q
+        residual = [x - q * m for x, m in zip(residual, marks[j])]
+    return bq.BurnsideElement(a.group, tuple(coeffs))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import burneq as bq
 from burneq import burnside
 from burneq.errors import DescriptorError, GroupMismatch, InvalidAction, NonIntegralSolution
-from groupdata import MARKS_GROUPS, make_group
+from groupdata import MARKS_GROUPS, full_peel_mul, make_group
 
 
 # ---------------------------------------------------------------- marks
@@ -164,6 +164,26 @@ def test_virtual_products_multiply_marks_pointwise(name, data):
         for k, c in enumerate(basis_products(name)[i][j]):
             bilinear[k] += x * y * c
     assert list(product.coeffs) == bilinear
+
+
+@pytest.mark.parametrize("name", ["S4xZ2", "A5"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_truncated_products_match_the_full_peel(name, data):
+    """Each factor has zeros above a drawn top class, so the product's marks
+    vanish above the lower top and mul peels that prefix only."""
+    group = make_group(name)
+    n = len(bq.subgroup_classes(group))
+
+    def element():
+        top = data.draw(st.integers(-1, n - 1))
+        coeffs = data.draw(st.lists(st.one_of(st.just(0), st.integers(-50, 50)),
+                                    min_size=top + 1, max_size=top + 1))
+        return bq.BurnsideElement(group, (*coeffs, *[0] * (n - 1 - top)))
+
+    a, b = element(), element()
+    assert bq.mul(a, b) == full_peel_mul(a, b)
+    assert list(bq.mark_vector(a)) == dense_marks(group, a.coeffs)
 
 
 ORACLE_COST_CAP = 200_000  # |G|^2 * |G/H| * |G/K|: the orbit oracle's work

@@ -6,7 +6,13 @@ import pytest
 
 import burneq as bq
 from burneq.errors import EmptyGeneratorList, NotASubgroup, OrderCapExceeded
-from groupdata import EXPECTED_ORDER, MARKS_GROUPS, make_group
+from groupdata import (
+    EXPECTED_ORDER,
+    MARKS_GROUPS,
+    compose_mult_table,
+    make_group,
+    scan_weyl_data,
+)
 
 
 def brute_force_subgroups(group):
@@ -79,6 +85,12 @@ def test_index_to_permutation_is_injective_homomorphism(name):
         for b in range(group.order):
             composed = tuple(perms[a][x] for x in perms[b])
             assert composed == perms[group.mult_table[a][b]]
+
+
+@pytest.mark.parametrize("name", [*MARKS_GROUPS, "S5"])
+def test_mult_table_matches_composition(name):
+    group = make_group(name)
+    assert group.mult_table == compose_mult_table(group)
 
 
 def test_deterministic_indexing():
@@ -267,6 +279,13 @@ def test_weyl_invariants(name):
             assert not coset & covered
             covered |= coset
         assert covered == set(wd.normalizer.element_set)
+
+
+@pytest.mark.parametrize("name", [*MARKS_GROUPS, "S4xZ2", "A5"])
+def test_weyl_data_matches_the_scan_on_every_subgroup(name):
+    group = make_group(name)
+    for sub in bq.all_subgroups(group):
+        assert bq.weyl_data(group, sub) == scan_weyl_data(group, sub)
 
 
 # ---------------------------------------------------------------- labels

@@ -54,12 +54,16 @@ def test_published_lattice_sizes(name):
     assert len(bq.subgroup_classes(group)) == n_classes
 
 
+def even_permutations(group):
+    n = group.points
+    return {g for g, p in enumerate(group.element_perms)
+            if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0}
+
+
 def test_s5_lattice_contains_the_perfect_subgroup_a5():
     s5 = make_group("S5")
     (a5,) = [s for s in bq.all_subgroups(s5) if s.order == 60]
-    even = {g for g, p in enumerate(s5.element_perms)
-            if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0}
-    assert set(a5.element_set) == even
+    assert set(a5.element_set) == even_permutations(s5)
 
 
 def brute_closure(group, elements):
@@ -123,11 +127,28 @@ def test_lattice_matches_the_join_oracle_and_conjugation(name):
         assert c.representative == c.members[0]
 
 
+def zuppo_orbits_outside(group, sub):
+    """Oracle: the N(sub)-orbits of cyclic subgroups of prime-power order outside sub."""
+    def conjugate(s, g):
+        return group_module.conjugate_subgroup(group, s, g)
+
+    normalizer = [g for g in range(group.order) if conjugate(sub, g) == sub]
+    zuppos = set()
+    for g in range(group.order):
+        z = bq.subgroup_from_elements(group, [g])
+        if z.order > 1 and len({p for p in range(2, z.order + 1) if z.order % p == 0
+                                and all(p % q for q in range(2, p))}) == 1:
+            zuppos.add(z)
+    outside = [z for z in zuppos if not set(z.element_set) <= set(sub.element_set)]
+    return {frozenset(conjugate(z, n) for n in normalizer) for z in outside}
+
+
 @pytest.mark.parametrize("name", ["S4xZ2", "S5"])
 def test_classes_join_each_representative_once_per_cyclic_subgroup(name, monkeypatch):
-    """At most |G| closures for the cyclic subgroups, then one per class and
-    cyclic subgroup; joining every subgroup instead takes 2851 on S4xZ2 and
-    9681 on S5."""
+    """At most |G| closures for the cyclic subgroups, then at most one join
+    per class and N(R)-orbit of zuppos (cyclic subgroups of prime-power
+    order) outside its representative R. Joining every subgroup with every
+    cyclic subgroup instead takes 2851 closures on S4xZ2 and 9681 on S5."""
     group = bq.generate_group(LARGER_GROUPS[name])
     walks = []
     generate = group_module._generate
@@ -135,5 +156,14 @@ def test_classes_join_each_representative_once_per_cyclic_subgroup(name, monkeyp
                         lambda mult, gens: walks.append(gens) or generate(mult, gens))
     classes = bq.subgroup_classes(group)
     monkeypatch.undo()
-    cyclic = {bq.subgroup_from_elements(group, [g]) for g in range(group.order)}
-    assert len(walks) <= group.order + len(classes) * len(cyclic)
+    orbits = sum(len(zuppo_orbits_outside(group, c.representative)) for c in classes)
+    assert len(walks) <= group.order + orbits
+
+
+def test_s6_lattice_sizes_and_its_perfect_subgroup_a6():
+    """A6 is perfect, so joins by normalizing elements only would miss it."""
+    s6 = make_group("S6")
+    subgroups = bq.all_subgroups(s6)
+    assert (s6.order, len(subgroups), len(bq.subgroup_classes(s6))) == (720, 1455, 56)
+    (a6,) = [s for s in subgroups if s.order == 360]
+    assert set(a6.element_set) == even_permutations(s6)
