@@ -38,7 +38,7 @@ from .degree import (
     standard_piece,
     verify_product,
 )
-from .expr import Expr, evaluate, jacobian_fd, parse, to_source
+from .expr import Expr, parse, to_source
 from .group import (
     FiniteGroup,
     Subgroup,

@@ -154,6 +154,12 @@ def product_gset(a: SubgroupClass, b: SubgroupClass) -> FiniteGSet:
 
 
 def _validate_action(x: FiniteGSet) -> None:
+    """Check that the table is an action: one permutation row per element,
+    the identity acting trivially, and rho(y g) = rho(y) rho(g) for every
+    element y and generator g. Every element is a word in the generators, so
+    with rho(e) = id the generator-sided check gives rho(g_1 ... g_k) =
+    rho(g_1) ... rho(g_k) by induction on k, and hence rho(a b) = rho(a)
+    rho(b) for all a and b, as in `build_representation`."""
     group = x.group
     if len(x.action) != group.order:
         raise InvalidAction("action table must have one row per group element")
@@ -163,12 +169,11 @@ def _validate_action(x: FiniteGSet) -> None:
     if x.action[0] != tuple(range(x.size)):
         raise InvalidAction("identity must act trivially")
     mult = group.mult_table
-    for g in range(group.order):
-        rg = x.action[g]
-        for h in range(group.order):
-            rh = x.action[h]
-            rgh = x.action[mult[g][h]]
-            if any(rgh[p] != rg[rh[p]] for p in range(x.size)):
+    for y, ry in enumerate(x.action):
+        for g in group.generator_indices:
+            rg = x.action[g]
+            ryg = x.action[mult[y][g]]
+            if any(ryg[p] != ry[rg[p]] for p in range(x.size)):
                 raise InvalidAction("action is not a homomorphism")
 
 

@@ -243,7 +243,7 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
     d = len(basis)
     origin = (0,) * d
     trees = [expr_mod.restrict(e, x0, basis) for e in exprs]
-    jacobian = [[g for g, _ in expr_mod.interval_jet(t, origin, origin)[1]] for t in trees]
+    jacobian = _jacobian_at_origin(trees)
     _det_sign(jacobian)  # raises SingularJacobian, as local_index would
     y = linalg.solve(jacobian, linalg.identity(d))
     trees = [expr_mod.substitute(t, y) for t in trees]
@@ -338,13 +338,20 @@ def _det_sign(jacobian) -> int:
     return 1 if det > 0 else -1
 
 
+def _jacobian_at_origin(trees: Sequence[expr_mod.Node]) -> list[list[Fraction]]:
+    """The exact Jacobian at u = 0 of `restrict`ed trees, in one pass each."""
+    origin = (0,) * len(trees)
+    return [[g for g, _ in expr_mod.interval_jet(t, origin, origin)[1]] for t in trees]
+
+
 def expression_local_index(exprs: Sequence[Expr], base_point,
                            basis: Sequence[Vector]) -> int:
-    """Sign of the exact Jacobian determinant along a basis, by `expr.jet`."""
+    """Sign of the exact Jacobian determinant along a basis, read off the
+    `restrict`ed trees as `_certify_unique` reads it."""
     if len(exprs) != len(basis):
         raise InvalidPiece(f"need {len(basis)} expressions for a {len(basis)}-dimensional block")
     x0 = linalg.vec(base_point)
-    return _det_sign([[expr_mod.jet(e, x0, b)[1] for b in basis] for e in exprs])
+    return _det_sign(_jacobian_at_origin([expr_mod.restrict(e, x0, basis) for e in exprs]))
 
 
 def local_index(piece: StandardPiece, rep: OrthogonalRepresentation) -> int:

@@ -11,41 +11,31 @@ Grammar (standard precedence, left associative):
 Numbers are decimal literals, kept and printed exactly; variables are
 x1..xn for the declared dimension; '^' takes a literal non-negative integer
 exponent and binds tighter than unary minus, so "-x1^2" means -(x1^2).
-`jet` is exact, and so is `interval_jet`, its interval form over a box;
-`evaluate` and `jacobian_fd` use each literal's float.
+`jet` is exact, and so is `interval_jet`, its interval form over a box.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from sys import float_info
 from typing import Sequence, Union
 
 from .errors import (
     BadExponent,
-    DimensionMismatch,
     DivisionByZero,
     ExprSyntaxError,
     UnknownVariable,
 )
 
-FD_STEP = 2.0 ** -20
 EXACT_POWER_BITS = 2 ** 20  # jet refuses a power whose exact value would need more bits
 
 
 @dataclass(frozen=True)
 class Num:
     value: Fraction
-    real: float = field(init=False, repr=False, compare=False)  # its float, fixed once
-
-    def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "real", float(self.value))
-        except OverflowError:  # beyond the float range, where float() of the text gives inf
-            object.__setattr__(self, "real", math.inf)
 
 
 @dataclass(frozen=True)
@@ -271,39 +261,6 @@ def to_source(e: Expr) -> str:
 
 # ---------------------------------------------------------------- evaluation
 
-def _ev(node: Node, point: Sequence[float]) -> float:
-    if isinstance(node, Num):
-        return node.real
-    if isinstance(node, Var):
-        return point[node.index - 1]
-    if isinstance(node, Neg):
-        return -_ev(node.operand, point)
-    if isinstance(node, Pow):
-        base = _ev(node.base, point)
-        try:
-            return base ** node.exponent
-        except OverflowError:  # IEEE overflow gives infinity, as it does for * and +
-            return -math.inf if base < 0 and node.exponent % 2 else math.inf
-    left = _ev(node.left, point)
-    right = _ev(node.right, point)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right == 0.0:
-        raise DivisionByZero("division by zero during evaluation")
-    return left / right
-
-
-def evaluate(e: Expr, point: Sequence[float]) -> float:
-    """Evaluate at a point in IEEE double arithmetic."""
-    if len(point) != e.dim:
-        raise DimensionMismatch(f"point has {len(point)} coordinates, expected {e.dim}")
-    return _ev(e.root, point)
-
-
 def jet(e: Expr, point: Sequence[Fraction],
         direction: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     """Exact value and directional derivative at a rational point. Raises
@@ -482,20 +439,3 @@ def interval_jet(node: Node, center: Sequence[Fraction],
 
     return ev(node)
 
-
-def jacobian_fd(exprs: Sequence[Expr], point: Sequence[float]) -> list[list[float]]:
-    """Central-difference Jacobian of a square expression system."""
-    n = len(point)
-    if len(exprs) != n or any(e.dim != n for e in exprs):
-        raise DimensionMismatch("jacobian_fd needs a square system")
-    h = FD_STEP
-    rows: list[list[float]] = [[0.0] * n for _ in exprs]
-    base = [float(x) for x in point]
-    for j in range(n):
-        plus = list(base)
-        minus = list(base)
-        plus[j] += h
-        minus[j] -= h
-        for i, e in enumerate(exprs):
-            rows[i][j] = (_ev(e.root, plus) - _ev(e.root, minus)) / (2.0 * h)
-    return rows

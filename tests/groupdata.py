@@ -2,7 +2,8 @@
 the Fraction elimination (reduced row echelon form, kernel, determinant)
 for the fraction-free `linalg`; the multiplication table by composing every
 pair of permutations; the Weyl data by scanning G for elements normalizing
-the subgroup; and the ring product over the full mark vectors.
+the subgroup; the ring product over the full mark vectors; and the action
+check over all |G|^2 pairs of elements.
 
 Groups are cached so the per-group derived data (class tables, marks) is
 computed once per session. Q8 acts on itself by left translation with
@@ -189,3 +190,11 @@ def full_peel_mul(a: bq.BurnsideElement, b: bq.BurnsideElement) -> bq.BurnsideEl
         coeffs[j] = q
         residual = [x - q * m for x, m in zip(residual, marks[j])]
     return bq.BurnsideElement(a.group, tuple(coeffs))
+
+
+def all_pairs_action(x: bq.FiniteGSet) -> bool:
+    """Whether rho(g h) = rho(g) rho(h) for every pair of elements g, h."""
+    mult, action = x.group.mult_table, x.action
+    return all(action[mult[g][h]][p] == rg[rh[p]]
+               for g, rg in enumerate(action) for h, rh in enumerate(action)
+               for p in range(x.size))

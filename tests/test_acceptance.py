@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
-Everything here is exact arithmetic except the finite-difference Jacobian
-comparison (criterion 8, 1e-5 relative). Run with -s to see the
-per-criterion lines and timings.
+Everything here is exact arithmetic. Run with -s to see the per-criterion
+lines and timings.
 """
 
 import itertools
@@ -19,7 +18,7 @@ from burneq import expr, fuzz
 from burneq.degree import LinearLocalMap, ambient_linear_map, conjugate_linear_piece
 from burneq.errors import InfeasibleCoefficient, SingularJacobian
 from groupdata import MARKS_GROUPS, PRODUCT_CORPUS_REPS, fraction_det, make_group, make_rep
-from test_expr import oracle_jacobian, random_node
+from test_expr import exact_jacobian, oracle_jacobian, random_node
 
 CORPUS_SEED = 1729
 PAIRS_PER_REP = 50  # 4 representations x 50 = 200 seeded pairs
@@ -302,10 +301,6 @@ def test_criterion_8_parser_suite():
                 expr.Expr(root=random_node(rng, dim, 3, allow_div=False), dim=dim)
                 for _ in range(dim)
             ]
-            point = tuple(rng.uniform(-1.5, 1.5) for _ in range(dim))
-            sym = oracle_jacobian(exprs, point)
-            fd = expr.jacobian_fd(exprs, point)
-            for i in range(dim):
-                for j in range(dim):
-                    assert abs(fd[i][j] - sym[i][j]) <= 1e-5 * max(1.0, abs(sym[i][j]))
+            point = tuple(Fraction(rng.randint(-21, 21), 14) for _ in range(dim))
+            assert exact_jacobian(exprs, point) == oracle_jacobian(exprs, point)
             systems += 1

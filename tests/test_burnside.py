@@ -1,6 +1,7 @@
 """Table of marks, ring arithmetic, and the orbit-decomposition oracle."""
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import burneq as bq
 from burneq import burnside
 from burneq.errors import DescriptorError, GroupMismatch, InvalidAction, NonIntegralSolution
-from groupdata import MARKS_GROUPS, full_peel_mul, make_group
+from groupdata import MARKS_GROUPS, all_pairs_action, full_peel_mul, make_group
 
 
 # ---------------------------------------------------------------- marks
@@ -257,6 +258,61 @@ def test_invalid_action_rejected(z2):
     not_a_permutation = bq.FiniteGSet(group=z2, size=2, action=((0, 1), (0, 0)))
     with pytest.raises(InvalidAction):
         bq.decompose_gset(not_a_permutation)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4"])
+def test_generator_sided_action_check_agrees_with_all_pairs(name):
+    # every w != e is y g for a generator g, so a swap in row w breaks
+    # rho(y g) = rho(y) rho(g) and the generator-sided check must see it
+    group = make_group(name)
+    classes = bq.subgroup_classes(group)
+    gsets = [bq.coset_gset(group, c.representative) for c in classes]
+    gsets += [bq.product_gset(a, b) for a in classes for b in classes]
+    rng = random.Random(len(gsets))
+    for x in gsets:
+        assert all_pairs_action(x)
+        burnside._validate_action(x)
+        if x.size < 2:
+            continue
+        for w in range(1, group.order):
+            p, q = rng.sample(range(x.size), 2)
+            row = list(x.action[w])
+            row[p], row[q] = row[q], row[p]
+            bad = bq.FiniteGSet(group, x.size, x.action[:w] + (tuple(row),) + x.action[w + 1:])
+            assert not all_pairs_action(bad)
+            with pytest.raises(InvalidAction, match="not a homomorphism"):
+                burnside._validate_action(bad)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4"])
+def test_action_check_uses_every_generator(name):
+    # rows altered on a whole coset y<g>, so that rho(z g) = rho(z) rho(g)
+    # still holds for every z: only the other generators can refuse them
+    group = make_group(name)
+    mult = group.mult_table
+    refused = set()
+    for cls in bq.subgroup_classes(group):
+        x = bq.coset_gset(group, cls.representative)
+        if x.size < 2:
+            continue
+        for g in group.generator_indices:
+            powers = [0]
+            while mult[powers[-1]][g]:
+                powers.append(mult[powers[-1]][g])
+            y = min(set(range(group.order)) - set(powers))
+            sigma = list(x.action[y])
+            sigma[0], sigma[1] = sigma[1], sigma[0]
+            action = list(x.action)
+            for h in powers:
+                action[mult[y][h]] = tuple(sigma[p] for p in x.action[h])
+            bad = bq.FiniteGSet(group, x.size, tuple(action))
+            if all_pairs_action(bad):  # the altered rows form an action again
+                burnside._validate_action(bad)
+                continue
+            refused.add(g)
+            with pytest.raises(InvalidAction, match="not a homomorphism"):
+                burnside._validate_action(bad)
+    assert refused == set(group.generator_indices)
 
 
 def test_disjoint_union_additivity(s3):

@@ -199,6 +199,13 @@ def test_check_subcommand(files, capsys):
     assert "product fuzz: 4 pairs, seed 3, OK" in out
 
 
+def test_check_on_a5_runs_every_class_pair(tmp_path, capsys):
+    a5 = tmp_path / "a5.json"
+    a5.write_text('{"points": 5, "generators": [[1,2,0,3,4],[0,1,3,4,2]]}', encoding="utf-8")
+    assert main(["check", "-g", str(a5), "--pairs", "0"]) == 0
+    assert capsys.readouterr().out == "marks-vs-orbit oracle: 81 class pairs, OK\n"
+
+
 def test_outputs_byte_stable(files, capsys):
     def run():
         main(["group", "-g", files["s3"], "--format", "json"])

@@ -1,17 +1,17 @@
-"""Expression parsing, printing, evaluation, the exact jet and the FD Jacobian."""
+"""Expression parsing, printing, the exact jet and the exact Jacobian."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from burneq import expr
+import burneq.linalg as la
+from burneq import degree, expr
 from burneq.errors import (
     BadExponent,
-    DimensionMismatch,
     DivisionByZero,
     ExprSyntaxError,
+    InvalidPiece,
     UnknownVariable,
 )
 from burneq.expr import BinOp, Neg, Num, Pow, Var
@@ -22,18 +22,18 @@ from burneq.expr import BinOp, Neg, Num, Pow, Var
 def differentiate(node, var_index):
     """Symbolic derivative of an AST node, used only as a test oracle."""
     if isinstance(node, Num):
-        return Num(0.0)
+        return Num(Fraction(0))
     if isinstance(node, Var):
-        return Num(1.0 if node.index == var_index else 0.0)
+        return Num(Fraction(1 if node.index == var_index else 0))
     if isinstance(node, Neg):
         return Neg(differentiate(node.operand, var_index))
     if isinstance(node, Pow):
         if node.exponent == 0:
-            return Num(0.0)
+            return Num(Fraction(0))
         inner = differentiate(node.base, var_index)
         return BinOp(
             "*",
-            Num(float(node.exponent)),
+            Num(Fraction(node.exponent)),
             BinOp("*", Pow(node.base, node.exponent - 1), inner),
         )
     dl = differentiate(node.left, var_index)
@@ -47,10 +47,20 @@ def differentiate(node, var_index):
 
 
 def oracle_jacobian(exprs, point):
+    """The symbolic derivatives, each evaluated exactly at a rational point."""
+    zero = (Fraction(0),) * len(point)
     return [
-        [expr._ev(differentiate(e.root, j + 1), point) for j in range(len(point))]
+        [expr.jet(expr.Expr(differentiate(e.root, j + 1), e.dim), point, zero)[0]
+         for j in range(len(point))]
         for e in exprs
     ]
+
+
+def exact_jacobian(exprs, point):
+    """The package's exact Jacobian: read off the restricted trees, as the
+    local index and the uniqueness certificate read it."""
+    basis = la.identity(len(point))
+    return degree._jacobian_at_origin([expr.restrict(e, point, basis) for e in exprs])
 
 
 # ---------------------------------------------------------------- parsing
@@ -106,61 +116,54 @@ def test_literals_print_back_exactly(source):
 
 
 def test_precedence():
-    assert expr.evaluate(expr.parse("2 + 3 * 4", 1), (0.0,)) == 14.0
-    assert expr.evaluate(expr.parse("(2 + 3) * 4", 1), (0.0,)) == 20.0
-    assert expr.evaluate(expr.parse("2 - 3 - 4", 1), (0.0,)) == -5.0
-    assert expr.evaluate(expr.parse("12 / 2 / 3", 1), (0.0,)) == 2.0
-    assert expr.evaluate(expr.parse("-2^2", 1), (0.0,)) == -4.0
-    assert expr.evaluate(expr.parse("(-2)^2", 1), (0.0,)) == 4.0
+    def value(source):
+        return expr.jet(expr.parse(source, 1), (Fraction(0),), (Fraction(0),))[0]
+
+    assert value("2 + 3 * 4") == 14
+    assert value("(2 + 3) * 4") == 20
+    assert value("2 - 3 - 4") == -5
+    assert value("12 / 2 / 3") == 2
+    assert value("-2^2") == -4
+    assert value("(-2)^2") == 4
 
 
-# ---------------------------------------------------------------- evaluation
+# ---------------------------------------------------------------- exact values
 
 def test_eval_examples():
-    assert expr.evaluate(expr.parse("x1*x2", 2), (3.0, 4.0)) == 12.0
-    assert expr.evaluate(expr.parse("-x1^2", 1), (2.0,)) == -4.0
+    def value(source, dim, point):
+        return expr.jet(expr.parse(source, dim), point, (Fraction(0),) * dim)[0]
+
+    assert value("x1*x2", 2, (Fraction(3), Fraction(4))) == 12
+    assert value("-x1^2", 1, (Fraction(2),)) == -4
 
 
 def test_division_by_zero():
+    e = expr.parse("1/x1", 1)
     with pytest.raises(DivisionByZero):
-        expr.evaluate(expr.parse("1/x1", 1), (0.0,))
-
-
-def test_eval_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        expr.evaluate(expr.parse("x1", 2), (1.0,))
-
-
-def test_eval_deterministic():
-    e = expr.parse("x1^3 / 7 - 2*x2 + 0.125", 2)
-    values = {expr.evaluate(e, (1.25, -0.5)) for _ in range(5)}
-    assert len(values) == 1
+        expr.jet(e, (Fraction(0),), (Fraction(1),))
+    with pytest.raises(DivisionByZero):
+        exact_jacobian([e], (Fraction(0),))
 
 
 # ---------------------------------------------------------------- jacobian
 
 def test_jacobian_linear_exact():
     exprs = [expr.parse("2*x1 + x2", 2), expr.parse("x1", 2)]
-    jac = expr.jacobian_fd(exprs, (0.3, -0.8))
-    assert abs(jac[0][0] - 2) < 1e-6
-    assert abs(jac[0][1] - 1) < 1e-6
-    assert abs(jac[1][0] - 1) < 1e-6
-    assert abs(jac[1][1]) < 1e-6
+    assert exact_jacobian(exprs, (Fraction(3, 10), Fraction(-4, 5))) == [[2, 1], [1, 0]]
 
 
 def test_jacobian_square_derivative():
-    jac = expr.jacobian_fd([expr.parse("x1^2", 1)], (3.0,))
-    assert abs(jac[0][0] - 6.0) < 1e-6
+    assert exact_jacobian([expr.parse("x1^2", 1)], (Fraction(3),)) == [[6]]
 
 
 def test_jacobian_vanishing_gradient():
-    jac = expr.jacobian_fd([expr.parse("x1*x2", 2), expr.parse("x2", 2)], (0.0, 0.0))
-    assert abs(jac[0][0]) < 1e-6 and abs(jac[0][1]) < 1e-6
+    jac = exact_jacobian([expr.parse("x1*x2", 2), expr.parse("x2", 2)], (Fraction(0),) * 2)
+    assert jac[0] == [0, 0]
 
 
 def test_jacobian_requires_square_system():
-    with pytest.raises(DimensionMismatch):
-        expr.jacobian_fd([expr.parse("x1", 2)], (1.0, 2.0))
+    with pytest.raises(InvalidPiece):
+        degree.expression_local_index([expr.parse("x1", 2)], (0, 0), la.identity(2))
 
 
 # ---------------------------------------------------------------- random corpora
@@ -169,7 +172,7 @@ def random_node(rng, dim, depth, allow_div):
     roll = rng.random()
     if depth == 0 or roll < 0.3:
         if rng.random() < 0.5:
-            return Num(float(rng.randint(0, 5)))
+            return Num(Fraction(rng.randint(0, 5)))
         return Var(rng.randint(1, dim))
     if roll < 0.45:
         return Neg(random_node(rng, dim, depth - 1, allow_div))
@@ -204,20 +207,9 @@ def test_jacobian_matches_symbolic_oracle_on_fifty_systems():
             expr.Expr(root=random_node(rng, dim, 3, allow_div=False), dim=dim)
             for _ in range(dim)
         ]
-        point = tuple(rng.uniform(-1.5, 1.5) for _ in range(dim))
-        sym = oracle_jacobian(exprs, point)
-        fd = expr.jacobian_fd(exprs, point)
-        for i in range(dim):
-            for j in range(dim):
-                scale = max(1.0, abs(sym[i][j]))
-                assert abs(fd[i][j] - sym[i][j]) <= 1e-5 * scale
+        point = tuple(Fraction(rng.randint(-21, 21), 14) for _ in range(dim))
+        assert exact_jacobian(exprs, point) == oracle_jacobian(exprs, point)
         checked += 1
-
-
-def test_power_overflow_is_ieee_infinity():
-    assert expr.evaluate(expr.parse("x1^1100", 1), [2.0]) == math.inf
-    assert expr.evaluate(expr.parse("x1^1101", 1), [-2.0]) == -math.inf
-    assert expr.evaluate(expr.parse("x1^1100", 1), [-2.0]) == math.inf
 
 
 def test_jet_is_exact_value_and_directional_derivative():
