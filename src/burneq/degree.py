@@ -23,9 +23,13 @@ Products of maps over V and W live over the block sum V (+) W: each pair of
 zero orbits G y x G z splits into diagonal orbits, and every resulting piece
 carries the product of the two local indices as a declared index. Every
 diagonal orbit meets the row {y} x G z, where it is a G_y-orbit, so the
-diagonal orbits are enumerated from that one row. The product is built
-directly, as `standard_piece` and `polystandard_map` validate outside input
-only; `OrbitProductRow` says what that means for its rows.
+diagonal orbits are enumerated from that one row. Each factor piece gets one
+image pass on its own representation, a table from each element to the
+position of its image in the piece's orbit; rho(k)(y, rho(h) z0) = (rho(k) y,
+rho(kh) z0) makes every image on the block sum an index lookup, and no
+matrix is applied there. The product is built directly, as `standard_piece`
+and `polystandard_map` validate outside input only; `OrbitProductRow` says
+what that means for its rows.
 """
 
 from __future__ import annotations
@@ -407,9 +411,34 @@ def _factor_indices(f: PolystandardMap, g: PolystandardMap):
     return tuple([local_index(p, m.rep) for p in m.pieces] for m in (f, g))
 
 
+def _image_table(rep: OrthogonalRepresentation, piece: StandardPiece) -> list[int]:
+    """The position of rho(g) x0 in the piece's orbit for each element g, from
+    one image pass."""
+    x0 = piece.base_point
+    s = math.lcm(*(c.denominator for c in x0))
+    position = {point: k for k, point in enumerate(piece.orbit[0])}
+    return [position[image]
+            for image in rep.images(tuple(c.numerator * (s // c.denominator) for c in x0))]
+
+
+def _rescaled(points: Sequence[IntVector], scale: int, old: int) -> Sequence[IntVector]:
+    """Integer points over `old` restated over `scale`; the caller knows the
+    results are integers."""
+    if scale == old:
+        return points
+    return [tuple(v * scale // old for v in p) for p in points]
+
+
 def _product(f: PolystandardMap, g: PolystandardMap, left, right):
     """The product map and the factor indices (d_left, d_right) of each piece,
-    from the local indices `left` of the pieces of f and `right` of g."""
+    from the local indices `left` of the pieces of f and `right` of g.
+
+    Each factor piece gets one image pass on its own representation
+    (`_image_table`); every image on the block sum is then an index lookup,
+    rho(k)(y, rho(h) z0) = (rho(k) y, rho(kh) z0). A piece's isotropy, its
+    orbit (points and scale) and the row it covers come out exactly as
+    `integer_orbit` on the sum representation would give them.
+    """
     sum_rep = direct_sum(f.rep, g.rep)
     if not f.pieces or not g.pieces:
         return PolystandardMap(sum_rep, ()), ()
@@ -426,25 +455,35 @@ def _product(f: PolystandardMap, g: PolystandardMap, left, right):
     if spacings:
         size = min(size, linalg.rational_sqrt_floor(min(spacings) / 32))
 
-    n = f.rep.dim
+    mult = f.rep.group.mult_table
+    denom = sum_rep.denom
+    tables = [_image_table(g.rep, q) for q in g.pieces]
     pieces, indices = [], []
     for p, da in zip(f.pieces, left):
         y = p.base_point
-        for q, db in zip(g.pieces, right):
+        ys, yscale = p.orbit
+        ytable = _image_table(f.rep, p)
+        stabilizer = [k for k, i in enumerate(ytable) if i == 0]  # G_y
+        for q, db, ztable in zip(g.pieces, right, tables):
             # the diagonal orbits of G y x G z meet the row {y} x G z in
-            # the G_y-orbits on G z, marked over the scale of q.orbit; one
-            # piece per G_y-orbit
+            # the G_y-orbits on G z; one piece per G_y-orbit
             zs, zscale = q.orbit
-            covered: set[IntVector] = set()
-            for z in zs:
-                if z in covered:
+            covered: set[int] = set()
+            for i, z in enumerate(zs):
+                if i in covered:
                     continue
                 x = y + tuple(Fraction(v, zscale) for v in z)
-                sub, (points, scale) = integer_orbit(sum_rep, x)
+                h = ztable.index(i)  # z = rho(h) z0
+                moved = [ztable[row[h]] for row in mult]  # k -> position of rho(k) z
+                sub = Subgroup.of(k for k in stabilizer if moved[k] == i)
+                covered.update(moved[k] for k in stabilizer)
+                scale = denom * math.lcm(*(c.denominator for c in x))
+                left_points = _rescaled(ys, scale, yscale)
+                right_points = _rescaled(zs, scale, zscale)
+                points = tuple(left_points[a] + right_points[b]
+                               for a, b in dict.fromkeys(zip(ytable, moved)))
                 pieces.append(StandardPiece(x, sub, size, size, DeclaredLocalMap(da * db),
                                             (points, scale)))
-                covered.update(tuple(v * zscale // scale for v in w[n:])
-                               for w in points if w[:n] == points[0][:n])
                 indices.append((da, db))
     return PolystandardMap(sum_rep, tuple(pieces)), tuple(indices)
 

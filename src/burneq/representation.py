@@ -170,8 +170,11 @@ def build_representation(group: FiniteGroup, generator_matrices,
 
     Checks: one square rational matrix per generator, all orthogonal
     exactly, and rho(y g) = rho(y) rho(g) for every element y and generator
-    g. Together with rho(e) = I the generator-sided check forces the full
-    homomorphism property by induction on word length.
+    g. The closure defines rho(y g) as rho(y) rho(g) along each of its
+    construction edges (y, g), so those |G| - 1 products are not recomputed;
+    every other pair is. Together with rho(e) = I the generator-sided
+    identity forces the full homomorphism property by induction on word
+    length: rho(w g) = rho(w) rho(g) for every word w and generator g.
     """
     gens = [linalg.mat(m) for m in generator_matrices]
     if len(gens) != len(group.generator_perms):
@@ -196,10 +199,11 @@ def build_representation(group: FiniteGroup, generator_matrices,
         parent, gi = group.construction[idx]
         elements[idx] = _product(elements[parent], int_gens[gi])
 
-    mult = group.mult_table
+    mult, construction = group.mult_table, group.construction
     for y in range(group.order):
         for gi, ge in enumerate(group.generator_indices):
-            if elements[mult[y][ge]] != _product(elements[y], int_gens[gi]):
+            yg = mult[y][ge]
+            if construction[yg] != (y, gi) and elements[yg] != _product(elements[y], int_gens[gi]):
                 raise NotAHomomorphism(
                     f"matrices violate the relation at element {y}, generator {gi}"
                 )

@@ -611,5 +611,8 @@ def test_one_image_pass_per_piece(name, monkeypatch):
     assert len(calls) == len(f.pieces) > 0
     calls.clear()
     prod = bq.product_map(f, g)
-    assert len(calls) == len(prod.pieces) > 0
-    assert all(r is prod.rep for r in calls)  # none on the factor pieces
+    # one pass per factor piece, on the factor's own representation; the
+    # product pieces' images are lookups, none on the block sum
+    assert len(calls) == len(f.pieces) + len(g.pieces) > 0
+    assert all(r is f.rep or r is g.rep for r in calls)
+    assert not any(r is prod.rep for r in calls)

@@ -6,7 +6,8 @@ the Fraction matrices. The
 orbit-level spacing and overlap checks are compared with all-pairs minima
 kept in this file, `direct_sum` with a validated build of the dense block
 matrices, the one-row enumeration of diagonal orbits with a walk over all
-rows, the witness ladder with brute-force isotropy and orbits, and the
+rows and its table-built orbits with `integer_orbit` on the block sum, the
+witness ladder with brute-force isotropy and orbits, and the
 fraction-free elimination (kernels, fixed subspaces, solves, determinants)
 with Fraction elimination.
 """
@@ -243,8 +244,11 @@ def all_rows_base_points(f, g):
 
 @pytest.mark.parametrize("left,right", [(name, name) for name in PRODUCT_CORPUS_REPS]
                          + [("S3-perm", "S3-rotated"), ("S3-regular", "S3-perm"),
-                            ("S3-rotated", "S3-perm")])
+                            ("S3-rotated", "S3-perm"), ("Z2-reflection", "Z2-sign"),
+                            ("D4-rotated", "D4-standard")])
 def test_product_pieces_match_all_rows_enumeration(left, right):
+    # the last two pairs have sum denominator 5 or 25 against 1, so the
+    # product orbits are restated over a scale that differs from a factor's
     rng = random.Random(f"product {left} {right}")
     a, b = kernel_rep(left), kernel_rep(right)
     for _ in range(3):
@@ -254,6 +258,7 @@ def test_product_pieces_match_all_rows_enumeration(left, right):
         assert [p.base_point for p in prod.pieces] == all_rows_base_points(f, g)
         for p in prod.pieces:
             assert as_fractions(p.orbit) == brute_orbit(prod.rep, p.base_point)
+            assert integer_orbit(prod.rep, p.base_point) == (p.isotropy, p.orbit)
 
 
 # ---------------------------------------------------------------- witness ladder

@@ -6,6 +6,7 @@ import pytest
 
 import burneq as bq
 import burneq.linalg as la
+import burneq.representation as rep_mod
 from burneq.errors import (
     DimensionMismatch,
     EmptyOrbitTypeStratum,
@@ -53,6 +54,28 @@ def test_relation_violation_rejected(z2):
     # a rotation matrix of order 4 cannot represent an involution
     with pytest.raises(NotAHomomorphism):
         bq.build_representation(z2, [[[0, -1], [1, 0]]])
+
+
+def test_two_generator_relation_violation_rejected(s3):
+    # (0 1) -> I and (0 1 2) -> its permutation matrix: the 3-cycle's
+    # conjugate by (0 1) would be itself, not its inverse
+    cycle = bq.permutation_representation(s3).matrices[s3.generator_indices[1]]
+    with pytest.raises(NotAHomomorphism):
+        bq.build_representation(s3, [la.identity(3), cycle])
+
+
+@pytest.mark.parametrize("kind", ["permutation", "regular"])
+def test_build_skips_the_construction_edges(kind, monkeypatch):
+    # k orthogonality checks, |G| - 1 closure products, and |G| k - (|G| - 1)
+    # relation checks off the construction edges
+    a5 = make_group("A5")
+    calls = []
+    product = rep_mod._product
+    monkeypatch.setattr(rep_mod, "_product", lambda a, b: calls.append(1) or product(a, b))
+    build = bq.permutation_representation if kind == "permutation" else bq.regular_representation
+    build(a5)
+    k = len(a5.generator_perms)
+    assert len(calls) == a5.order * k + k == 122
 
 
 def test_wrong_matrix_count_rejected(s3):
