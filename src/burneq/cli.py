@@ -54,6 +54,7 @@ def _load_group(args):
 
 
 def cmd_group(args) -> int:
+    rep_path = _optional(args.rep, "-r/--rep")
     group = _load_group(args)
     classes = subgroup_classes(group)
     labels = class_labels(group)
@@ -83,8 +84,8 @@ def cmd_group(args) -> int:
     lines.append("partial order (classes <= class i):")
     for row, below in zip(rows, leq):
         lines.append(f"  {row['index']}: {' '.join(str(i) for i in below)}")
-    if args.rep:
-        rep = descriptors.load_representation(args.rep[0], group)
+    if rep_path:
+        rep = descriptors.load_representation(rep_path, group)
         table = orbit_types(rep)
         payload["orbit_types"] = [
             {
@@ -138,6 +139,23 @@ def _single(values, flag: str):
     return values[0]
 
 
+def _optional(values, flag: str):
+    if values and len(values) > 1:
+        raise DescriptorError(f"at most one {flag} is allowed")
+    return values[0] if values else None
+
+
+def _pair(values, first, second, flag: str):
+    """The two paths of `product`: -x1 and -x2 where given, else the values
+    of the repeated flag in order; a value that neither slot reads is refused."""
+    values = values or []
+    slots = (first, second)
+    if any(k > 1 or slots[k] for k in range(len(values))):
+        raise DescriptorError(f"surplus {flag}: product takes two, "
+                              f"counting {flag[:2]}1 and {flag[:2]}2")
+    return tuple(s or (values[k] if k < len(values) else None) for k, s in enumerate(slots))
+
+
 def cmd_degree(args) -> int:
     group = _load_group(args)
     rep = descriptors.load_representation(_single(args.rep, "-r/--rep"), group)
@@ -170,16 +188,14 @@ def cmd_degree(args) -> int:
 
 
 def cmd_product(args) -> int:
-    group = _load_group(args)
-    rep1_path = args.r1 or (args.rep[0] if args.rep and len(args.rep) > 0 else None)
-    rep2_path = args.r2 or (args.rep[1] if args.rep and len(args.rep) > 1 else None)
-    map1_path = args.m1 or (args.map[0] if args.map and len(args.map) > 0 else None)
-    map2_path = args.m2 or (args.map[1] if args.map and len(args.map) > 1 else None)
+    rep1_path, rep2_path = _pair(args.rep, args.r1, args.r2, "-r/--rep")
+    map1_path, map2_path = _pair(args.map, args.m1, args.m2, "-m/--map")
     if not all([rep1_path, rep2_path, map1_path, map2_path]):
         raise DescriptorError(
             "product needs two representations and two maps "
             "(-r1/-r2/-m1/-m2, or -r and -m twice)"
         )
+    group = _load_group(args)
     rep1 = descriptors.load_representation(rep1_path, group)
     rep2 = descriptors.load_representation(rep2_path, group)
     f = descriptors.load_map(map1_path, rep1)
@@ -238,6 +254,7 @@ def cmd_realize(args) -> int:
 def cmd_check(args) -> int:
     if args.pairs < 0:
         raise DescriptorError(f"--pairs must not be negative, got {args.pairs}")
+    rep_path = _optional(args.rep, "-r/--rep")
     group = _load_group(args)
     classes = subgroup_classes(group)
     failures = 0
@@ -256,8 +273,8 @@ def cmd_check(args) -> int:
     print(f"marks-vs-orbit oracle: {pairs} class pairs, "
           f"{'OK' if failures == 0 else f'{failures} FAILED'}")
 
-    if args.rep:
-        rep = descriptors.load_representation(args.rep[0], group)
+    if rep_path:
+        rep = descriptors.load_representation(rep_path, group)
         rng = random.Random(args.seed)
         bad = 0
         for _ in range(args.pairs):

@@ -25,12 +25,7 @@ from .degree import LinearLocalMap, PolystandardMap, StandardPiece
 from .errors import InfeasibleCoefficient, ZeroDimNegative
 from .group import Subgroup, class_labels, subgroup_classes
 from .linalg import IntOrbit, Matrix, Vector
-from .representation import (
-    OrthogonalRepresentation,
-    fixed_subspace,
-    integer_orbit,
-    witness_points,
-)
+from .representation import OrthogonalRepresentation, _witness_orbits
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,9 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
         if coeff == 0:
             continue
         sub = cls.representative
-        d = fixed_subspace(rep, sub).dim_fixed
-        if not rep.orbit_types.entries[cls.class_index].occupied:
+        entry = rep.orbit_types.entries[cls.class_index]
+        d = entry.dim_fixed
+        if not entry.occupied:
             raise InfeasibleCoefficient(
                 f"class [G/{labels[cls.class_index]}] has an empty stratum "
                 f"in this representation",
@@ -87,9 +83,9 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
                 kind="unit-coefficient",
                 class_index=cls.class_index,
             )
-        points = witness_points(rep, sub, abs(coeff) if d else 1)
         local = LinearLocalMap(signed_linear_block(d, 1 if coeff > 0 else -1))
-        placements.extend((x, sub, local, integer_orbit(rep, x)[1]) for x in points)
+        placements.extend((x, sub, local, orb)
+                          for x, orb in _witness_orbits(rep, sub, abs(coeff) if d else 1))
 
     spacing2 = linalg.min_orbit_spacing2([orb for *_, orb in placements])
     size = Fraction(1) if spacing2 is None else linalg.rational_sqrt_floor(spacing2 / 32)

@@ -10,7 +10,13 @@ over the scale D * s; `isotropy` and `orbit` are views of it. `direct_sum`
 stacks the rows of two validated blocks over one denominator. The exact
 Fraction matrices (`matrices`, used by `apply`) are derived on first use;
 tests check the integer kernel against them. Floats never enter here.
-Orbit types are decided per class, witnesses by the one ladder of `witness_points`.
+Fixed-space dimensions come from characters: dim V^H is the mean trace of
+the subgroup's matrices, read off the diagonals of the integer rows, so the
+orbit-type table builds no basis. A signed permutation representation
+(one entry per row) takes the basis of V^H from the H-orbits of signed
+coordinates; a dense rational one takes the kernel of an elimination.
+Witnesses come from the one integer ladder of `witness_points`, which
+hands back each pick's orbit from its image pass.
 Representations that need irrational matrices must be fed in through a
 rational orthogonal form; embedding in a permutation representation always
 works.
@@ -66,16 +72,29 @@ class OrthogonalRepresentation:
 
     @cached_property
     def orbit_types(self) -> OrbitTypeTable:
-        """Fixed-space dimension and occupancy for every subgroup class. Class i is
-        empty iff some class j != i with class_leq(i, j) fixes a space of the same
-        dimension, as a finite union of proper subspaces cannot cover a rational space."""
+        """Fixed-space dimension and occupancy for every subgroup class.
+
+        dim V^H = sum_h tr A_h / (|H| D), the multiplicity of the trivial
+        character (Serre, Linear Representations of Finite Groups, 1977,
+        section 2), from one pass over the diagonals; no basis is built.
+        Class i is empty iff some class j != i with class_leq(i, j) fixes a
+        space of the same dimension, as a finite union of proper subspaces
+        cannot cover a rational space."""
+        traces = [sum(c for i, row in enumerate(rows) for j, c in row if j == i)
+                  for rows in self.rows]
         classes = subgroup_classes(self.group)
-        dims = [fixed_subspace(self, c.representative).dim_fixed for c in classes]
+        dims = [sum(traces[h] for h in c.representative.element_set)
+                // (c.representative.order * self.denom) for c in classes]
         return OrbitTypeTable(entries=tuple(
             OrbitTypeEntry(i, d, not any(j != i and dims[j] == d and class_leq(ci, cj)
                                          for j, cj in enumerate(classes)))
             for i, (ci, d) in enumerate(zip(classes, dims))
         ))
+
+    @cached_property
+    def monomial(self) -> bool:
+        """Whether every matrix is a signed permutation, one entry per row."""
+        return all(len(row) == 1 for rows in self.rows for row in rows)
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
@@ -262,26 +281,67 @@ def direct_sum(a: OrthogonalRepresentation,
 # ---------------------------------------------------------------- fixed spaces
 
 def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSubspace:
-    """Exact kernel of P - I, P = sum_h A_h / (|H| D) averaging the subgroup
-    matrices, taken fraction-free as the kernel of sum_h A_h - |H| D I."""
+    """Exact basis of V^H, the canonical kernel basis of P - I for P the mean
+    of the subgroup's matrices: read off the H-orbits of signed coordinates
+    for a signed permutation representation, and otherwise the fraction-free
+    kernel of sum_h A_h - |H| D I."""
     cached = rep._fixed_cache.get(subgroup.mask)
     if cached is not None:
         return cached
+    class_index = class_index_of(rep.group, subgroup)
+    basis = _orbit_basis(rep, subgroup) if rep.monomial else _kernel_basis(rep, subgroup)
+    result = FixedSubspace(
+        subgroup=subgroup,
+        class_index=class_index,
+        basis=basis,
+        dim_fixed=len(basis),
+    )
+    rep._fixed_cache[subgroup.mask] = result
+    return result
+
+
+def _kernel_basis(rep: OrthogonalRepresentation, subgroup: Subgroup) -> tuple[Vector, ...]:
     n, scale = rep.dim, subgroup.order * rep.denom
     total = [[-scale if i == j else 0 for j in range(n)] for i in range(n)]
     for h in subgroup.element_set:
         for acc, row in zip(total, rep.rows[h]):
             for j, c in row:
                 acc[j] += c
-    basis = tuple(linalg.kernel_basis(total))
-    result = FixedSubspace(
-        subgroup=subgroup,
-        class_index=class_index_of(rep.group, subgroup),
-        basis=basis,
-        dim_fixed=len(basis),
-    )
-    rep._fixed_cache[subgroup.mask] = result
-    return result
+    return tuple(linalg.kernel_basis(total))
+
+
+def _orbit_basis(rep: OrthogonalRepresentation, subgroup: Subgroup) -> tuple[Vector, ...]:
+    """V^H of a signed permutation representation. Row i of A_h is ((j, c),)
+    with c = +-D, and v = rho(h) v reads v_i = (c / D) v_j: over h in H the
+    rows at i tie v on the H-orbit of coordinate i, each coordinate with a
+    sign. An orbit that meets its own negative (some j with both signs)
+    forces v = 0 there; every other orbit gives one vector, signed +1 at its
+    largest coordinate. That coordinate is the free column of the reduced
+    echelon form of P - I, so sorting by it gives the kernel basis."""
+    zero, one, minus_one = Fraction(0), Fraction(1), Fraction(-1)
+    n = rep.dim
+    mats = [rep.rows[h] for h in subgroup.element_set]
+    seen = [False] * n
+    found: list[tuple[int, Vector]] = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        signs: dict[int, int] = {}
+        cancels = False
+        for rows in mats:
+            ((j, c),) = rows[i]
+            if signs.setdefault(j, c) != c:
+                cancels = True
+        for j in signs:
+            seen[j] = True
+        if cancels:
+            continue
+        top = max(signs)
+        v = [zero] * n
+        for j, c in signs.items():
+            v[j] = one if c == signs[top] else minus_one
+        found.append((top, tuple(v)))
+    return tuple(v for _, v in sorted(found, key=lambda item: item[0]))
 
 
 def integer_orbit(rep: OrthogonalRepresentation, point) -> tuple[Subgroup, IntOrbit]:
@@ -316,7 +376,24 @@ def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
     t = 1, 2, ..., skipping any point with a larger stabilizer or on the
     orbit of an earlier pick. A proper subspace of V^H holds fewer than
     d = dim V^H ladder points and distinct t give distinct points, so on a
-    nonempty stratum d * (#subgroups + count * |G|) steps suffice.
+    nonempty stratum d * (#subgroups + count * |G|) steps suffice. The walk
+    runs on integers, the basis cleared over one scale once; see
+    `_witness_orbits`.
+    """
+    return [x for x, _ in _witness_orbits(rep, subgroup, count)]
+
+
+def _witness_orbits(rep: OrthogonalRepresentation, subgroup: Subgroup,
+                    count: int) -> list[tuple[Vector, IntOrbit]]:
+    """The ladder of `witness_points`, each pick with its orbit as
+    `integer_orbit` gives it.
+
+    With the basis cleared once, b_k = B_k / s, a candidate is the integer
+    point X_t = sum_k t^(k+1) B_k over s. Divided by the gcd of s and X_t,
+    its scale is the lcm of x_t's denominators, and one image pass on it
+    gives its stabilizer, which contains H as x_t lies in V^H, and for a
+    pick its orbit. The orbits of earlier picks are kept as integer
+    points over D * s, so a candidate on one is a set lookup on D * X_t.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -329,27 +406,35 @@ def witness_points(rep: OrthogonalRepresentation, subgroup: Subgroup,
             f"no point has isotropy exactly ({label}): its fixed space is "
             f"covered by a larger subgroup"
         )
+    n, denom = rep.dim, rep.denom
     if d == 0:
         # only reachable for the whole group; everything smaller was caught above
         if count > 1:
             raise ValueError(f"the origin is the only orbit with isotropy ({label})")
-        return [tuple(Fraction(0) for _ in range(rep.dim))]
-    points: list[Vector] = []
-    taken: set[Vector] = set()
+        return [(tuple(Fraction(0) for _ in range(n)), ((tuple(0 for _ in range(n)),), denom))]
+    s = lcm(*(c.denominator for b in fs.basis for c in b))
+    basis = [[(j, c.numerator * (s // c.denominator)) for j, c in enumerate(b) if c]
+             for b in fs.basis]
+    picks: list[tuple[Vector, IntOrbit]] = []
+    taken: set[IntVector] = set()
     for t in range(1, d * (len(all_subgroups(group)) + count * group.order) + 1):
-        x = tuple(
-            sum(Fraction(t) ** (k + 1) * b[j] for k, b in enumerate(fs.basis))
-            for j in range(rep.dim)
-        )
-        if x in taken:
+        point = [0] * n
+        for k, b in enumerate(basis):
+            p = t ** (k + 1)
+            for j, c in b:
+                point[j] += p * c
+        if tuple(denom * v for v in point) in taken:
             continue
-        stabilizer, (images, scale) = integer_orbit(rep, x)
-        if stabilizer != subgroup:
+        common = gcd(s, *point)
+        reduced, scale = tuple(v // common for v in point), s // common
+        images = rep.images(reduced)
+        if images.count(images[0]) != subgroup.order:
             continue
-        points.append(x)
-        if len(points) == count:
-            return points
-        taken.update(tuple(Fraction(v, scale) for v in image) for image in images)
+        points = tuple(dict.fromkeys(images))
+        picks.append((tuple(Fraction(v, scale) for v in reduced), (points, denom * scale)))
+        if len(picks) == count:
+            return picks
+        taken.update(tuple(common * v for v in image) for image in points)
     raise AssertionError("witness ladder exhausted on a nonempty stratum")
 
 

@@ -347,3 +347,24 @@ def test_degree_of_a_small_nonzero_determinant(tmp_path, capsys):
         "local": {"type": "expr", "exprs": ["1000*x1", "0.000000001*x2"]}}]}), encoding="utf-8")
     assert main(["degree", "-g", str(group), "-r", str(rep), "-m", str(the_map)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "deg = 1*[G/e]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "-g", "{s3}", "-r", "{s3rep}", "-r", "{missing}"],
+    ["check", "-g", "{s3}", "-r", "{s3rep}", "-r", "{missing}", "--pairs", "0"],
+    ["product", "-g", "{z2}", "-r", "{sign}", "-r", "{sign}", "-r", "{sign}",
+     "-m", "{zmap}", "-m", "{zmap}"],
+    ["product", "-g", "{z2}", "-r", "{sign}", "-r", "{sign}",
+     "-m", "{zmap}", "-m", "{zmap}", "-m", "{zmap}"],
+    ["product", "-g", "{z2}", "-r1", "{sign}", "-r", "{sign}", "-r", "{sign}",
+     "-m", "{zmap}", "-m", "{zmap}"],
+])
+def test_surplus_rep_and_map_values_are_refused(files, capsys, argv):
+    # a value that no slot reads is an input error, not silently dropped
+    paths = {**files, "missing": str(files["dir"] / "missing.json")}
+    code = main([a.format(**paths) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "-r/--rep" in err or "-m/--map" in err

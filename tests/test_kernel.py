@@ -24,8 +24,10 @@ import burneq.linalg as la
 from burneq import fuzz
 from burneq.degree import DeclaredLocalMap, StandardPiece
 from burneq.errors import DimensionMismatch, EmptyOrbitTypeStratum, OverlappingPieces
-from burneq.representation import integer_orbit
+from burneq.representation import _witness_orbits, integer_orbit
+from burneq.group import class_index_of
 from groupdata import PRODUCT_CORPUS_REPS, fraction_det, fraction_kernel, make_group, make_rep
+from test_representation import OCCUPANCY_CORPUS, occupancy_rep
 
 # the three-four-five rotation; conjugating by it makes rows dense rational
 ROTATION = la.mat([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
@@ -286,6 +288,20 @@ def test_witness_points_exact_and_on_distinct_orbits(name):
         assert all(not a & b for a, b in itertools.combinations(orbits, 2))
 
 
+@pytest.mark.parametrize("name", KERNEL_REPS + ["S4-twisted"])
+def test_ladder_orbits_equal_integer_orbit(name):
+    rep = fixed_space_rep(name)
+    for cls in bq.subgroup_classes(rep.group):
+        sub = cls.representative
+        if not rep.orbit_types.entries[cls.class_index].occupied:
+            continue
+        count = 3 if bq.fixed_subspace(rep, sub).dim_fixed else 1
+        picks = _witness_orbits(rep, sub, count)
+        assert [x for x, _ in picks] == bq.witness_points(rep, sub, count)
+        for x, orb in picks:
+            assert integer_orbit(rep, x) == (sub, orb)
+
+
 # ---------------------------------------------------------------- determinant
 
 @st.composite
@@ -364,21 +380,58 @@ def test_solve_and_det_against_fraction_elimination(a, data):
         assert la.matmul(a, la.solve(a, b)) == b
 
 
+def sign_twisted_s4():
+    """S4 on 4 coordinates twisted by the sign character: a transposition
+    sends e_i to -e_j, so the orbits of signed coordinates under a subgroup
+    with a transposition and a 3-cycle meet their own negatives."""
+    group = make_group("S4")
+    gens = []
+    for p in group.generator_perms:
+        sign = (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        gens.append([[sign if i == p[j] else 0 for j in range(4)] for i in range(4)])
+    return bq.build_representation(group, gens)
+
+
 def fixed_space_rep(name):
     if name == "S4-perm":
         return bq.permutation_representation(make_group("S4"))
     if name == "Q8-regular":
         return bq.regular_representation(make_group("Q8"))
-    return make_rep(name)
+    if name == "S4-twisted":
+        return sign_twisted_s4()
+    return kernel_rep(name)
 
 
-@pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS + ["S4-perm", "S3-regular", "Q8-regular"])
+def p_minus_i(rep, sub):
+    """P - I for P the mean of the subgroup's Fraction matrices."""
+    mats = [rep.matrices[h] for h in sub.element_set]
+    return tuple(
+        tuple(sum(m[i][j] for m in mats) / sub.order - (i == j) for j in range(rep.dim))
+        for i in range(rep.dim)
+    )
+
+
+DENSE_REPS = ["Z2-reflection", "S3-rotated", "D4-rotated"]
+FIXED_SPACE_REPS = PRODUCT_CORPUS_REPS + ["S4-perm", "S3-regular", "Q8-regular", "S4-twisted"]
+
+
+@pytest.mark.parametrize("name", FIXED_SPACE_REPS + DENSE_REPS)
 def test_fixed_subspace_bases_equal_the_fraction_rref_kernel(name):
+    # the dense rotated representations eliminate; the rest are signed
+    # permutations, which read V^H off coordinate orbits
     rep = fixed_space_rep(name)
+    assert rep.monomial == (name not in DENSE_REPS)
     for sub in bq.all_subgroups(rep.group):
-        mats = [rep.matrices[h] for h in sub.element_set]
-        p_minus_i = tuple(
-            tuple(sum(m[i][j] for m in mats) / sub.order - (i == j) for j in range(rep.dim))
-            for i in range(rep.dim)
-        )
-        assert bq.fixed_subspace(rep, sub).basis == tuple(fraction_kernel(p_minus_i))
+        assert bq.fixed_subspace(rep, sub).basis == tuple(fraction_kernel(p_minus_i(rep, sub)))
+
+
+@pytest.mark.parametrize("name", FIXED_SPACE_REPS + DENSE_REPS
+                         + [f"occupancy:{n}" for n in OCCUPANCY_CORPUS])
+def test_trace_dimensions_equal_the_fraction_rref_kernel(name):
+    # dim V^H from characters, read per class, on every member of the class
+    rep = (occupancy_rep(name.split(":")[1]) if name.startswith("occupancy:")
+           else fixed_space_rep(name))
+    entries = bq.orbit_types(rep).entries
+    for sub in bq.all_subgroups(rep.group):
+        expected = len(fraction_kernel(p_minus_i(rep, sub)))
+        assert entries[class_index_of(rep.group, sub)].dim_fixed == expected

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import burneq as bq
+import burneq.realize as realize_mod
+import burneq.representation as rep_mod
 from burneq import fuzz
 from burneq.errors import EmptyOrbitTypeStratum, InfeasibleCoefficient, ZeroDimNegative
 from burneq.realize import signed_linear_block
@@ -130,3 +132,18 @@ def test_realize_then_product(s3_perm):
     check = bq.verify_product(f, g)
     assert check.equal
     assert check.rhs == bq.mul(a, b)
+
+
+def test_realize_takes_the_orbits_from_the_ladder(s3_perm, monkeypatch):
+    # each pick's orbit comes out of the ladder's own image pass; no point
+    # is walked a second time by integer_orbit
+    calls = []
+    real = rep_mod.integer_orbit
+    for module in (rep_mod, realize_mod):
+        monkeypatch.setattr(module, "integer_orbit",
+                            lambda r, x: calls.append(x) or real(r, x), raising=False)
+    target = bq.BurnsideElement(s3_perm.group, (2, -2, 0, 1))
+    f = bq.realize_element(bq.RealizationTarget(element=target, rep=s3_perm))
+    assert calls == []
+    for piece in f.pieces:
+        assert real(s3_perm, piece.base_point) == (piece.isotropy, piece.orbit)

@@ -257,15 +257,22 @@ def test_orbit_types_match_the_per_subgroup_oracle(name):
     assert bq.orbit_types(rep) is table
 
 
-def test_orbit_types_take_one_fixed_space_per_class(monkeypatch):
-    rep = bq.permutation_representation(bq.generate_group(LARGER_GROUPS["S4"]))
-    classes = bq.subgroup_classes(rep.group)
-    computed = set()
-    fixed_subspace = bq.representation.fixed_subspace
-    monkeypatch.setattr(bq.representation, "fixed_subspace",
-                        lambda r, sub: computed.add(sub.element_set) or fixed_subspace(r, sub))
-    bq.orbit_types(rep)
-    assert len(computed) <= len(classes)
+@pytest.mark.parametrize("name", ["S4-perm", "Z2-reflection"])
+def test_orbit_types_build_no_fixed_space(name, monkeypatch):
+    # dimensions come from traces, so the table builds no basis, neither by
+    # coordinate orbits (S4-perm) nor by elimination (the dense reflection)
+    calls = []
+    for module, attr in [(bq.representation, "fixed_subspace"), (bq.representation, "_orbit_basis"),
+                         (bq.representation, "_kernel_basis"), (la, "kernel_basis")]:
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, _real=real: calls.append(a) or _real(*a))
+    if name == "S4-perm":
+        rep = bq.permutation_representation(make_group("S4"))
+    else:
+        rep = bq.build_representation(make_group("Z2"), [[["-3/5", "4/5"], ["4/5", "3/5"]]])
+    table = bq.orbit_types(rep)
+    assert len(table.entries) == len(bq.subgroup_classes(rep.group))
+    assert calls == []
 
 
 def test_witness_points_have_exact_isotropy(s3_perm):
