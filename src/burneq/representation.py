@@ -12,9 +12,8 @@ Fraction matrices (`matrices`, used by `apply`) are derived on first use;
 tests check the integer kernel against them. Floats never enter here.
 Fixed-space dimensions come from characters: dim V^H is the mean trace of
 the subgroup's matrices, read off the diagonals of the integer rows, so the
-orbit-type table builds no basis. A signed permutation representation
-(one entry per row) takes the basis of V^H from the H-orbits of signed
-coordinates; a dense rational one takes the kernel of an elimination.
+orbit-type table builds no basis; a basis of V^H, when one is needed, is
+the kernel of one fraction-free elimination.
 Witnesses come from the one integer ladder of `witness_points`, which
 hands back each pick's orbit from its image pass.
 Representations that need irrational matrices must be fed in through a
@@ -90,11 +89,6 @@ class OrthogonalRepresentation:
                                          for j, cj in enumerate(classes)))
             for i, (ci, d) in enumerate(zip(classes, dims))
         ))
-
-    @cached_property
-    def monomial(self) -> bool:
-        """Whether every matrix is a signed permutation, one entry per row."""
-        return all(len(row) == 1 for rows in self.rows for row in rows)
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
@@ -281,15 +275,19 @@ def direct_sum(a: OrthogonalRepresentation,
 # ---------------------------------------------------------------- fixed spaces
 
 def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSubspace:
-    """Exact basis of V^H, the canonical kernel basis of P - I for P the mean
-    of the subgroup's matrices: read off the H-orbits of signed coordinates
-    for a signed permutation representation, and otherwise the fraction-free
-    kernel of sum_h A_h - |H| D I."""
+    """Exact kernel of P - I, P = sum_h A_h / (|H| D) averaging the subgroup
+    matrices, taken fraction-free as the kernel of sum_h A_h - |H| D I."""
     cached = rep._fixed_cache.get(subgroup.mask)
     if cached is not None:
         return cached
     class_index = class_index_of(rep.group, subgroup)
-    basis = _orbit_basis(rep, subgroup) if rep.monomial else _kernel_basis(rep, subgroup)
+    n, scale = rep.dim, subgroup.order * rep.denom
+    total = [[-scale if i == j else 0 for j in range(n)] for i in range(n)]
+    for h in subgroup.element_set:
+        for acc, row in zip(total, rep.rows[h]):
+            for j, c in row:
+                acc[j] += c
+    basis = tuple(linalg.kernel_basis(total))
     result = FixedSubspace(
         subgroup=subgroup,
         class_index=class_index,
@@ -298,50 +296,6 @@ def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSu
     )
     rep._fixed_cache[subgroup.mask] = result
     return result
-
-
-def _kernel_basis(rep: OrthogonalRepresentation, subgroup: Subgroup) -> tuple[Vector, ...]:
-    n, scale = rep.dim, subgroup.order * rep.denom
-    total = [[-scale if i == j else 0 for j in range(n)] for i in range(n)]
-    for h in subgroup.element_set:
-        for acc, row in zip(total, rep.rows[h]):
-            for j, c in row:
-                acc[j] += c
-    return tuple(linalg.kernel_basis(total))
-
-
-def _orbit_basis(rep: OrthogonalRepresentation, subgroup: Subgroup) -> tuple[Vector, ...]:
-    """V^H of a signed permutation representation. Row i of A_h is ((j, c),)
-    with c = +-D, and v = rho(h) v reads v_i = (c / D) v_j: over h in H the
-    rows at i tie v on the H-orbit of coordinate i, each coordinate with a
-    sign. An orbit that meets its own negative (some j with both signs)
-    forces v = 0 there; every other orbit gives one vector, signed +1 at its
-    largest coordinate. That coordinate is the free column of the reduced
-    echelon form of P - I, so sorting by it gives the kernel basis."""
-    zero, one, minus_one = Fraction(0), Fraction(1), Fraction(-1)
-    n = rep.dim
-    mats = [rep.rows[h] for h in subgroup.element_set]
-    seen = [False] * n
-    found: list[tuple[int, Vector]] = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        signs: dict[int, int] = {}
-        cancels = False
-        for rows in mats:
-            ((j, c),) = rows[i]
-            if signs.setdefault(j, c) != c:
-                cancels = True
-        for j in signs:
-            seen[j] = True
-        if cancels:
-            continue
-        top = max(signs)
-        v = [zero] * n
-        for j, c in signs.items():
-            v[j] = one if c == signs[top] else minus_one
-        found.append((top, tuple(v)))
-    return tuple(v for _, v in sorted(found, key=lambda item: item[0]))
 
 
 def integer_orbit(rep: OrthogonalRepresentation, point) -> tuple[Subgroup, IntOrbit]:

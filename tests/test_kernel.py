@@ -302,6 +302,35 @@ def test_ladder_orbits_equal_integer_orbit(name):
             assert integer_orbit(rep, x) == (sub, orb)
 
 
+def reflection(w):
+    n2 = sum(c * c for c in w)
+    return [[Fraction(int(i == j)) - Fraction(2 * w[i] * w[j], n2) for j in range(3)]
+            for i in range(3)]
+
+
+def test_ladder_skips_a_candidate_on_an_earlier_orbit():
+    # V4 = <a, b> on Q^3 by two commuting reflections. H = <a> fixes the
+    # plane n-perp, n = (4, -37, 15), whose canonical basis is
+    # (37/4, 1, 0), (-15/4, 0, 1); so X_t = (37t/4 - 15t^2/4, t, t^2), and
+    # X_1 = (11/2, 1, 1) and X_2 = (7/2, 2, 4) have equal norms. b reflects
+    # in w = X_2 - X_1 = (-2, 1, 3), which is orthogonal to n, so b swaps
+    # them: X_2 has isotropy exactly H but lies on the first pick's orbit.
+    rep = bq.build_representation(make_group("V4"), [reflection((4, -37, 15)),
+                                                     reflection((-2, 1, 3))])
+    sub = bq.Subgroup.of([0, rep.group.generator_indices[0]])
+    assert rep.denom == 805 and bq.fixed_subspace(rep, sub).dim_fixed == 2
+
+    def ladder(t):
+        return (Fraction(37 * t - 15 * t * t, 4), Fraction(t), Fraction(t * t))
+
+    assert brute_isotropy(rep, ladder(2)) == sub.element_set
+    assert ladder(2) in brute_orbit(rep, ladder(1))
+    picks = _witness_orbits(rep, sub, 3)
+    assert [x for x, _ in picks] == [ladder(1), ladder(3), ladder(4)]
+    for x, orb in picks:
+        assert integer_orbit(rep, x) == (sub, orb)
+
+
 # ---------------------------------------------------------------- determinant
 
 @st.composite
@@ -417,10 +446,7 @@ FIXED_SPACE_REPS = PRODUCT_CORPUS_REPS + ["S4-perm", "S3-regular", "Q8-regular",
 
 @pytest.mark.parametrize("name", FIXED_SPACE_REPS + DENSE_REPS)
 def test_fixed_subspace_bases_equal_the_fraction_rref_kernel(name):
-    # the dense rotated representations eliminate; the rest are signed
-    # permutations, which read V^H off coordinate orbits
     rep = fixed_space_rep(name)
-    assert rep.monomial == (name not in DENSE_REPS)
     for sub in bq.all_subgroups(rep.group):
         assert bq.fixed_subspace(rep, sub).basis == tuple(fraction_kernel(p_minus_i(rep, sub)))
 
