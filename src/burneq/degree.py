@@ -12,10 +12,13 @@ Disjointness is checked orbit by orbit, and exactly: G acts by isometries,
 so two orbits come closest with one point at its base point, and #pieces x
 #points integer distances decide what comparing all pairs of points would.
 
-The local index is the sign of an exact, nonzero determinant: of a linear
-block, or of an expression piece's Jacobian at its base point, where it
-must vanish exactly. That the base point is the only zero of an expression
-piece in its ball is proved by an exact interval Krawczyk certificate, or
+Each piece carries its local index, decided once where the piece is made:
+the declared integer, 1 at dim V^H = 0, or the sign of an exact, nonzero
+determinant, of a linear block or of an expression piece's Jacobian at its
+base point, where the expressions must vanish exactly. A singular block or
+Jacobian is refused when the piece is built. That the base point is the
+only zero of an expression piece in its ball is proved by an exact interval
+Krawczyk certificate, which reads the Jacobian and so gives the index, or
 the piece is refused. No decision here uses floating-point arithmetic; the
 float range bounds expression inputs only as a limit on what is accepted.
 
@@ -38,6 +41,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -101,7 +105,13 @@ class StandardPiece:
     radius: Fraction
     epsilon: Fraction
     local: LocalMapDef
+    index: int
     orbit: IntOrbit = field(compare=False, repr=False)
+
+    @cached_property
+    def label(self) -> str:
+        """The base point as "(c1, c2, ...)", for degree and product rows."""
+        return "(" + ", ".join(str(c) for c in self.base_point) + ")"
 
 
 @dataclass(frozen=True)
@@ -148,10 +158,6 @@ class ProductCheck:
     orbit_rows: tuple[OrbitProductRow, ...]
 
 
-def _point_label(point: Vector) -> str:
-    return "(" + ", ".join(str(c) for c in point) + ")"
-
-
 # ---------------------------------------------------------------- piece construction
 
 def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef,
@@ -162,11 +168,14 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
     quarter of the minimal spacing of the orbit. Validation covers: exact
     isotropy and orbit computation (the orbit is kept on the piece), the
     epsilon-versus-orbit-spacing bound, arity of the local map against dim
-    V^H, the {0,1} constraint on declared indices at dimension zero, and for
+    V^H, the {0,1} constraint on declared indices at dimension zero, a
+    nonsingular linear block (SingularJacobian otherwise), and for
     expression pieces an exact zero at the base point with a nonsingular
     Jacobian (SingularJacobian otherwise), then uniqueness of that zero in
     the ball, which an exact interval Krawczyk certificate proves or the
-    piece is refused (`_certify_unique`).
+    piece is refused (`_certify_unique`). The piece's local index is the
+    declared integer or the sign of that determinant; at d = 0 it is the
+    empty determinant's sign, 1.
     """
     x0 = linalg.vec(base_point)
     if len(x0) != rep.dim:
@@ -197,6 +206,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
                 f"linear block must be {d}x{d} for this base point"
             )
         local = LinearLocalMap(matrix)
+        index = _det_sign(matrix)
     elif isinstance(local, ExpressionLocalMap):
         if len(local.exprs) != d:
             raise InvalidPiece(
@@ -209,7 +219,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
         try:
             if any(expr_mod.jet(e, x0, (0,) * rep.dim)[0] for e in local.exprs):
                 raise InvalidPiece("expression local map does not vanish at the base point")
-            _certify_unique(local.exprs, x0, fs.basis, radius)
+            index = _certify_unique(local.exprs, x0, fs.basis, radius)
         except OverflowError as exc:
             raise InvalidPiece(f"expression piece has {exc}") from exc
     elif isinstance(local, DeclaredLocalMap):
@@ -217,20 +227,24 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
             raise InvalidPiece(
                 "a zero-dimensional piece can only carry index 0 or 1"
             )
+        index = local.index
     else:
         raise InvalidPiece(f"unknown local map variant: {local!r}")
-    return StandardPiece(x0, sub, radius, epsilon, local, orb)
+    return StandardPiece(x0, sub, radius, epsilon, local, index, orb)
 
 
 def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
-                    basis: Sequence[Vector], radius: Fraction) -> None:
+                    basis: Sequence[Vector], radius: Fraction) -> int:
     """Prove, by an exact interval Krawczyk test, that x0 is the only zero
-    of the expressions on the ball |u| <= radius, x = x0 + sum u_k b_k.
+    of the expressions on the ball |u| <= radius, x = x0 + sum u_k b_k, and
+    return the local index, the sign of det F'(x0).
 
     The ball holds the piece's radius ball: each `kernel_basis` vector has
     a 1 in its own free column and a 0 in the others', so |sum u_k b_k| >=
     |u|. The boxes live in the coordinates v = J u, with J = F'(x0) read
-    exactly off the restricted trees at u = 0, so that G(v) = F(J^-1 v) has
+    exactly off the restricted trees at u = 0. The trees of G(v) = F(J^-1 v)
+    are the expressions restricted again, along v_i = sum_k (J^-1)[k][i] b_k;
+    `restrict` is linear in the basis, so they fold as the u-trees do. G has
     G'(0) = I and the Krawczyk operator needs no preconditioner: K(X) = c -
     G(c) + (I - G'(X))(X - c) (Krawczyk, Computing 4 (1969); Moore,
     Interval Analysis (1966)). The first box, |v_i| <= radius |J_i|, holds
@@ -246,11 +260,11 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
     """
     d = len(basis)
     origin = (0,) * d
-    trees = [expr_mod.restrict(e, x0, basis) for e in exprs]
-    jacobian = _jacobian_at_origin(trees)
-    _det_sign(jacobian)  # raises SingularJacobian, as local_index would
+    jacobian = _jacobian_at_origin([expr_mod.restrict(e, x0, basis) for e in exprs])
+    index = _det_sign(jacobian)
     y = linalg.solve(jacobian, linalg.identity(d))
-    trees = [expr_mod.substitute(t, y) for t in trees]
+    trees = [expr_mod.restrict(e, x0, linalg.matmul(linalg.transpose(y), basis))
+             for e in exprs]
     r2 = radius * radius
     widths = []
     for row in jacobian:
@@ -260,7 +274,7 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
     boxes = [(origin, tuple(widths))]
     for _ in range(CERTIFICATE_BOXES):
         if not boxes:
-            return
+            break
         center, radii = boxes.pop()
         if any(center):
             # squared distance from 0 to the box's u-range, row by row of u = J^-1 v
@@ -282,6 +296,7 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
     if boxes:
         raise InvalidPiece("cannot certify the base point as the only zero in the radius ball; "
                            "shrink the radius")
+    return index
 
 
 def _krawczyk_decides(trees: Sequence[expr_mod.Node], center: Sequence[Fraction],
@@ -351,7 +366,8 @@ def _jacobian_at_origin(trees: Sequence[expr_mod.Node]) -> list[list[Fraction]]:
 def expression_local_index(exprs: Sequence[Expr], base_point,
                            basis: Sequence[Vector]) -> int:
     """Sign of the exact Jacobian determinant along a basis, read off the
-    `restrict`ed trees as `_certify_unique` reads it."""
+    `restrict`ed trees as `_certify_unique` reads it. The library decides
+    an expression piece's index in the certificate and does not call this."""
     if len(exprs) != len(basis):
         raise InvalidPiece(f"need {len(basis)} expressions for a {len(basis)}-dimensional block")
     x0 = linalg.vec(base_point)
@@ -359,16 +375,9 @@ def expression_local_index(exprs: Sequence[Expr], base_point,
 
 
 def local_index(piece: StandardPiece, rep: OrthogonalRepresentation) -> int:
-    """The integer degree of the local map at the base point."""
-    local = piece.local
-    if isinstance(local, DeclaredLocalMap):
-        return local.index
-    fs = fixed_subspace(rep, piece.isotropy)
-    if fs.dim_fixed == 0:
-        return 1
-    if isinstance(local, LinearLocalMap):
-        return _det_sign(local.matrix)
-    return expression_local_index(local.exprs, piece.base_point, fs.basis)
+    """The integer degree of the local map at the base point, decided when
+    the piece was made; `rep` is no longer read."""
+    return piece.index
 
 
 # ---------------------------------------------------------------- degree
@@ -380,20 +389,16 @@ def deg_standard(piece: StandardPiece, rep: OrthogonalRepresentation) -> DegreeR
 
 def deg_polystandard(f: PolystandardMap) -> DegreeResult:
     """Sum of the per-piece degrees; zero-index pieces are dropped."""
-    return _degree(f, (local_index(p, f.rep) for p in f.pieces))
-
-
-def _degree(f: PolystandardMap, indices) -> DegreeResult:
-    """The degree of f from the local index of each of its pieces."""
     group = f.rep.group
     coeffs = [0] * len(subgroup_classes(group))
     rows: list[OrbitContribution] = []
-    for piece, d in zip(f.pieces, indices):
+    for piece in f.pieces:
+        d = piece.index
         if d == 0:
             continue
         ci = class_index_of(group, piece.isotropy)
         coeffs[ci] += d
-        rows.append(OrbitContribution(_point_label(piece.base_point), ci, d))
+        rows.append(OrbitContribution(piece.label, ci, d))
     return DegreeResult(value=BurnsideElement(group, tuple(coeffs)), per_orbit=tuple(rows))
 
 
@@ -403,13 +408,6 @@ def existence_check(result: DegreeResult) -> bool:
 
 
 # ---------------------------------------------------------------- products
-
-def _factor_indices(f: PolystandardMap, g: PolystandardMap):
-    """The local index of each piece of f and of each piece of g."""
-    if f.rep.group is not g.rep.group:
-        raise GroupMismatch("maps over representations of different groups")
-    return tuple([local_index(p, m.rep) for p in m.pieces] for m in (f, g))
-
 
 def _image_table(rep: OrthogonalRepresentation, piece: StandardPiece) -> list[int]:
     """The position of rho(g) x0 in the piece's orbit for each element g, from
@@ -429,9 +427,8 @@ def _rescaled(points: Sequence[IntVector], scale: int, old: int) -> Sequence[Int
     return [tuple(v * scale // old for v in p) for p in points]
 
 
-def _product(f: PolystandardMap, g: PolystandardMap, left, right):
-    """The product map and the factor indices (d_left, d_right) of each piece,
-    from the local indices `left` of the pieces of f and `right` of g.
+def _product(f: PolystandardMap, g: PolystandardMap):
+    """The product map and the factor pieces (p, q) of each of its pieces.
 
     Each factor piece gets one image pass on its own representation
     (`_image_table`); every image on the block sum is then an index lookup,
@@ -439,6 +436,8 @@ def _product(f: PolystandardMap, g: PolystandardMap, left, right):
     orbit (points and scale) and the row it covers come out exactly as
     `integer_orbit` on the sum representation would give them.
     """
+    if f.rep.group is not g.rep.group:
+        raise GroupMismatch("maps over representations of different groups")
     sum_rep = direct_sum(f.rep, g.rep)
     if not f.pieces or not g.pieces:
         return PolystandardMap(sum_rep, ()), ()
@@ -458,13 +457,13 @@ def _product(f: PolystandardMap, g: PolystandardMap, left, right):
     mult = f.rep.group.mult_table
     denom = sum_rep.denom
     tables = [_image_table(g.rep, q) for q in g.pieces]
-    pieces, indices = [], []
-    for p, da in zip(f.pieces, left):
+    pieces, factors = [], []
+    for p in f.pieces:
         y = p.base_point
         ys, yscale = p.orbit
         ytable = _image_table(f.rep, p)
-        stabilizer = [k for k, i in enumerate(ytable) if i == 0]  # G_y
-        for q, db, ztable in zip(g.pieces, right, tables):
+        stabilizer = p.isotropy.element_set  # G_y
+        for q, ztable in zip(g.pieces, tables):
             # the diagonal orbits of G y x G z meet the row {y} x G z in
             # the G_y-orbits on G z; one piece per G_y-orbit
             zs, zscale = q.orbit
@@ -482,10 +481,11 @@ def _product(f: PolystandardMap, g: PolystandardMap, left, right):
                 right_points = _rescaled(zs, scale, zscale)
                 points = tuple(left_points[a] + right_points[b]
                                for a, b in dict.fromkeys(zip(ytable, moved)))
-                pieces.append(StandardPiece(x, sub, size, size, DeclaredLocalMap(da * db),
+                index = p.index * q.index
+                pieces.append(StandardPiece(x, sub, size, size, DeclaredLocalMap(index), index,
                                             (points, scale)))
-                indices.append((da, db))
-    return PolystandardMap(sum_rep, tuple(pieces)), tuple(indices)
+                factors.append((p, q))
+    return PolystandardMap(sum_rep, tuple(pieces)), tuple(factors)
 
 
 def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:
@@ -495,31 +495,31 @@ def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:
     product, carrying the declared index d_left * d_right and radii shrunk
     to fit inside the product tube.
     """
-    return _product(f, g, *_factor_indices(f, g))[0]
+    return _product(f, g)[0]
 
 
 def verify_product(f: PolystandardMap, g: PolystandardMap) -> ProductCheck:
     """Compare the degree of the product map against the ring product.
 
-    Each factor piece's local index is computed once, for both the product
-    and the factor degrees.
+    Every local index was decided when its piece was made, so this reads
+    indices and computes no determinant or Jacobian; each product piece's
+    label is formatted once, for both its degree row and its orbit row.
     """
-    left, right = _factor_indices(f, g)
-    prod, indices = _product(f, g, left, right)
+    prod, factors = _product(f, g)
     product_result = deg_polystandard(prod)
-    left_result = _degree(f, left)
-    right_result = _degree(g, right)
+    left_result = deg_polystandard(f)
+    right_result = deg_polystandard(g)
     rhs = ring_mul(left_result.value, right_result.value)
     orbit_rows = [
         OrbitProductRow(
-            base_label=_point_label(piece.base_point),
+            base_label=piece.label,
             class_index=class_index_of(prod.rep.group, piece.isotropy),
-            index_left=da,
-            index_right=db,
-            index_product=da * db,
+            index_left=p.index,
+            index_right=q.index,
+            index_product=piece.index,
             consistent=True,
         )
-        for piece, (da, db) in zip(prod.pieces, indices)
+        for piece, (p, q) in zip(prod.pieces, factors)
     ]
     return ProductCheck(
         lhs=product_result.value,

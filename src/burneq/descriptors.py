@@ -149,7 +149,10 @@ def load_map(path, rep: OrthogonalRepresentation) -> PolystandardMap:
     for k, raw in enumerate(raw_pieces):
         where = f"{path} piece {k}"
         try:
-            base = [_fraction(x, where) for x in raw["base_point"]]
+            base = raw["base_point"]
+            if not isinstance(base, list):
+                raise DescriptorError(f"{where}: 'base_point' must be a list of rationals")
+            base = [_fraction(x, where) for x in base]
             radius = _fraction(raw["radius"], where)
             epsilon = _fraction(raw["epsilon"], where)
             local = _local_from_dict(raw["local"], rep, where)

@@ -350,24 +350,6 @@ def restrict(e: Expr, point: Sequence[Fraction],
     return fold(e.root)
 
 
-def substitute(node: Node, m: Sequence[Sequence[Fraction]]) -> Node:
-    """A `restrict`ed tree on u = m v, as a function of v: each `Affine`
-    leaf's coefficient row a becomes a m."""
-    cols = tuple(zip(*m))
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Affine):
-            return Affine(node.const, tuple(sum(a * c for a, c in zip(node.coeffs, col) if a)
-                                            for col in cols))
-        if isinstance(node, Neg):
-            return Neg(walk(node.operand))
-        if isinstance(node, Pow):
-            return Pow(walk(node.base), node.exponent)
-        return BinOp(node.op, walk(node.left), walk(node.right))
-
-    return walk(node)
-
-
 def _imul(a: Interval, b: Interval) -> Interval:
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return min(products), max(products)

@@ -64,14 +64,18 @@ def _mutate_piece(rep: OrthogonalRepresentation, piece: StandardPiece,
         return piece
     roll = rng.random()
     if roll < 0.15:
-        local = DeclaredLocalMap(rng.choice([-3, -2, -1, 1, 2, 3]))
+        index = rng.choice([-3, -2, -1, 1, 2, 3])
+        local = DeclaredLocalMap(index)
     elif roll < 0.65:
-        local = LinearLocalMap(random_nonsingular_matrix(rng, d))
+        matrix = random_nonsingular_matrix(rng, d)
+        local = LinearLocalMap(matrix)
+        index = 1 if linalg.det(matrix) > 0 else -1
     else:
         return piece
     # same base point, and a d x d nonsingular block or a declared index at
     # d > 0 passes every local-map check, so the validated piece carries over
-    return replace(piece, local=local)
+    # with the new local map's index
+    return replace(piece, local=local, index=index)
 
 
 def random_polystandard_map(rep: OrthogonalRepresentation, rng: random.Random,

@@ -6,8 +6,9 @@ isotropy, and when dim V^G = 0 the coefficient of [G/G] can only be 0 or 1
 (the only candidate orbit is the origin, which admits a single unit germ).
 
 Realization places |c| pieces on distinct orbits inside the stratum of each
-class, each a signed diagonal block diag(sign c, 1, ..., 1), with radii
-shrunk below a quarter of the minimal spacing of all placed orbit points.
+class, each a signed diagonal block diag(sign c, 1, ..., 1) of local index
+sign c, with radii shrunk below a quarter of the minimal spacing of all
+placed orbit points.
 The pieces are not re-validated: each witness point has the class
 representative as its exact isotropy, the points lie on distinct orbits,
 and with size^2 <= s / 32 for the spacing s of all placed points, tubes of
@@ -61,7 +62,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
     classes = subgroup_classes(group)
     labels = class_labels(group)
 
-    placements: list[tuple[Vector, Subgroup, LinearLocalMap, IntOrbit]] = []
+    placements: list[tuple[Vector, Subgroup, LinearLocalMap, int, IntOrbit]] = []
     for cls, coeff in zip(classes, target.element.coeffs):
         if coeff == 0:
             continue
@@ -83,15 +84,16 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
                 kind="unit-coefficient",
                 class_index=cls.class_index,
             )
-        local = LinearLocalMap(signed_linear_block(d, 1 if coeff > 0 else -1))
-        placements.extend((x, sub, local, orb)
+        sign = 1 if coeff > 0 else -1
+        local = LinearLocalMap(signed_linear_block(d, sign))
+        placements.extend((x, sub, local, sign, orb)
                           for x, orb in _witness_orbits(rep, sub, abs(coeff) if d else 1))
 
     spacing2 = linalg.min_orbit_spacing2([orb for *_, orb in placements])
     size = Fraction(1) if spacing2 is None else linalg.rational_sqrt_floor(spacing2 / 32)
     return PolystandardMap(rep, tuple(
-        StandardPiece(x, sub, size, size, local, orb)
-        for x, sub, local, orb in placements
+        StandardPiece(x, sub, size, size, local, sign, orb)
+        for x, sub, local, sign, orb in placements
     ))
 
 

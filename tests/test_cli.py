@@ -335,6 +335,23 @@ def test_second_zero_in_the_ball_is_a_one_line_error(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1 and "shrink the radius" in err
 
 
+@pytest.mark.parametrize("command", ["degree", "product"])
+def test_singular_linear_block_is_a_one_line_error(files, capsys, command):
+    singular = files["dir"] / "singular.json"
+    singular.write_text(json.dumps({"pieces": [{
+        "base_point": ["1"], "radius": "1/4", "epsilon": "1/4",
+        "local": {"type": "linear", "matrix": [["0"]]}}]}), encoding="utf-8")
+    argv = {
+        "degree": ["degree", "-g", files["z2"], "-r", files["sign"], "-m", str(singular)],
+        "product": ["product", "-g", files["z2"], "-r", files["sign"], "-r", files["sign"],
+                    "-m", files["zmap"], "-m", str(singular)],
+    }[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the Jacobian determinant is exactly zero at the base point\n"
+
+
 def test_degree_of_a_small_nonzero_determinant(tmp_path, capsys):
     group = tmp_path / "trivial.json"
     group.write_text('{"points": 1, "generators": [[0]]}', encoding="utf-8")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import burneq as bq
 import burneq.linalg as la
-from burneq import expr, fuzz
+from burneq import degree, expr, fuzz
 from burneq.degree import (
     DeclaredLocalMap,
     ExpressionLocalMap,
@@ -139,9 +139,8 @@ def test_approximate_zero_is_refused():
 
 
 def test_singular_linear_block(z2_sign):
-    p = bq.standard_piece(z2_sign, [1], LinearLocalMap(((Fraction(0),),)))
     with pytest.raises(SingularJacobian):
-        bq.local_index(p, z2_sign)
+        bq.standard_piece(z2_sign, [1], LinearLocalMap(((Fraction(0),),)))
 
 
 def test_declared_index_returned_verbatim(s3_perm):
@@ -329,6 +328,27 @@ def dense_cubic(d, rng):
             break
     linear = [" + ".join(f"({c})*x{j + 1}" for j, c in enumerate(row) if c) for row in m]
     return ExpressionLocalMap(tuple(expr.parse(f"({l}) + ({l})^3", d) for l in linear)), det
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_certificate_trees_have_the_identity_jacobian(d, monkeypatch):
+    # the Krawczyk operator runs without a preconditioner, so the trees it
+    # gets, the expressions restricted along the columns of J^-1, must have
+    # G(0) = 0 and G'(0) = I exactly
+    space = bq.trivial_representation(bq.generate_group([[0]]), d)
+    rng = random.Random(f"dense cubic:{d}")
+    seen = []
+    decides = degree._krawczyk_decides
+    monkeypatch.setattr(degree, "_krawczyk_decides",
+                        lambda trees, c, r: seen.append(trees) or decides(trees, c, r))
+    for _ in range(20):
+        seen.clear()
+        local, _ = dense_cubic(d, rng)
+        bq.standard_piece(space, [0] * d, local, radius=1, epsilon=1)
+        trees = seen[0]
+        origin = (0,) * d
+        assert [expr.interval_jet(t, origin, origin)[0] for t in trees] == [(0, 0)] * d
+        assert degree._jacobian_at_origin(trees) == [list(row) for row in la.identity(d)]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -583,17 +603,35 @@ def test_mutated_piece_matches_a_full_rebuild(name):
 
 @pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
 def test_verify_product_computes_each_factor_index_once(name, monkeypatch):
+    # every index is decided when its piece is made: the degrees and the
+    # product read them, and compute no determinant and no Jacobian
     rep = make_rep(name)
     rng = random.Random(0)
     f = fuzz.random_polystandard_map(rep, rng)
     g = fuzz.random_polystandard_map(rep, rng)
-    linear = sum(isinstance(p.local, LinearLocalMap) and _local_dim(rep, p.base_point) > 0
-                 for m in (f, g) for p in m.pieces)
+    # swap a piece with dim V^H > 0 for the expression piece u = B^T (x - x0)
+    # on the same base point; its Jacobian is the Gram matrix of the basis B
+    # of V^H, so its local index is +1
+    k = next(i for i, p in enumerate(f.pieces) if _local_dim(rep, p.base_point) > 0)
+    piece = f.pieces[k]
+    basis = bq.fixed_subspace(rep, piece.isotropy).basis
+    local = ExpressionLocalMap(tuple(
+        expr.parse(" + ".join(f"({b}) * (x{j + 1} - ({c}))"
+                              for j, (b, c) in enumerate(zip(row, piece.base_point)) if b),
+                   rep.dim)
+        for row in basis))
+    swapped = bq.standard_piece(rep, piece.base_point, local, piece.radius, piece.epsilon)
+    assert swapped.index == 1
+    f = bq.polystandard_map(rep, f.pieces[:k] + (swapped,) + f.pieces[k + 1:])
+    assert any(isinstance(p.local, LinearLocalMap) for m in (f, g) for p in m.pieces)
     calls = []
-    det = la.det
+    det, restrict = la.det, expr.restrict
     monkeypatch.setattr(la, "det", lambda matrix: calls.append(matrix) or det(matrix))
+    monkeypatch.setattr(expr, "restrict", lambda *a: calls.append(a) or restrict(*a))
     assert bq.verify_product(f, g).equal
-    assert len(calls) == linear > 0
+    bq.deg_polystandard(f)
+    bq.deg_polystandard(g)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)

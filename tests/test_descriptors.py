@@ -251,6 +251,20 @@ def test_malformed_local_map_names_its_field(tmp_path, local, field):
     assert field in str(info.value) and "needs base_point" not in str(info.value)
 
 
+@pytest.mark.parametrize("base_point", ["110", {"1": 0, "2": 0, "0": 0}])
+def test_base_point_must_be_a_list(tmp_path, base_point):
+    # a string or an object iterates as its characters or keys, which would
+    # read as the points (1, 1, 0) and (1, 2, 0)
+    group = descriptors.load_group(write(tmp_path / "g.json", S3_GROUP))
+    rep = descriptors.load_representation(write(tmp_path / "r.json", S3_PERM_REP), group)
+    payload = {"pieces": [{"base_point": base_point, "radius": "1/8", "epsilon": "1/8",
+                           "local": {"type": "degree", "d": -1}}]}
+    with pytest.raises(DescriptorError) as info:
+        descriptors.load_map(write(tmp_path / "m.json", payload), rep)
+    assert "piece 0" in str(info.value) and "'base_point'" in str(info.value)
+    assert "\n" not in str(info.value)
+
+
 def test_expression_map_keeps_its_literals(tmp_path):
     trivial = {"points": 1, "generators": [[0]]}
     group = descriptors.load_group(write(tmp_path / "g.json", trivial))

@@ -179,7 +179,7 @@ def test_overlap_check_agrees_with_all_pairs(name):
             tube = half * (1 + Fraction(rng.randint(-2, 2), 64))
             epsilon = tube * Fraction(rng.randint(1, 3), 4)
             sub, orb = integer_orbit(rep, x)
-            pieces.append(StandardPiece(x, sub, tube - epsilon, epsilon, DeclaredLocalMap(1), orb))
+            pieces.append(StandardPiece(x, sub, tube - epsilon, epsilon, DeclaredLocalMap(1), 1, orb))
         expected = brute_overlap(rep, pieces)
         try:
             bq.polystandard_map(rep, pieces)
