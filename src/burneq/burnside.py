@@ -37,6 +37,7 @@ from .group import (
     SubgroupClass,
     class_index_of,
     class_labels,
+    left_cosets,
     subgroup_classes,
 )
 
@@ -113,25 +114,14 @@ class FiniteGSet:
 # ---------------------------------------------------------------- G-sets
 
 def coset_gset(group: FiniteGroup, subgroup: Subgroup) -> FiniteGSet:
-    """G acting on the left cosets of a subgroup.
-
-    Cosets are ordered by their minimal element, so the point order is
-    deterministic.
-    """
-    mult = group.mult_table
-    helems = subgroup.element_set
-    coset_of = [-1] * group.order
+    """G acting on the left cosets of a subgroup, in `left_cosets` order:
+    by their least elements, so the point order is deterministic."""
+    coset_of = left_cosets(group, subgroup)
     reps: list[int] = []
-    for g in range(group.order):
-        if coset_of[g] == -1:
-            idx = len(reps)
+    for g, i in enumerate(coset_of):
+        if i == len(reps):  # g is the least element of coset i
             reps.append(g)
-            for h in helems:
-                coset_of[mult[g][h]] = idx
-    action = tuple(
-        tuple(coset_of[mult[g][reps[i]]] for i in range(len(reps)))
-        for g in range(group.order)
-    )
+    action = tuple(tuple(coset_of[row[r]] for r in reps) for row in group.mult_table)
     return FiniteGSet(group=group, size=len(reps), action=action)
 
 
@@ -314,7 +304,10 @@ def parse_element(group: FiniteGroup, text: str) -> BurnsideElement:
             j += 1
         coeff = 1
         if j > i:
-            coeff = int(s[i:j])
+            try:
+                coeff = int(s[i:j])
+            except ValueError as exc:  # a digit int() refuses, or beyond its digit limit
+                raise DescriptorError(f"bad coefficient at position {i}: {exc}") from exc
             i = j
             if i >= len(s) or s[i] != "*":
                 raise DescriptorError(f"expected '*' after coefficient in {text!r}")

@@ -37,9 +37,12 @@ def _order_cap() -> int:
     value = os.environ.get("BURNEQ_ORDER_CAP")
     if not value:
         return DEFAULT_ORDER_CAP
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise DescriptorError(f"BURNEQ_ORDER_CAP must be a positive integer, got {value!r}")
-    return int(value)
+    try:
+        if value.strip().isdecimal() and int(value) >= 1:
+            return int(value)
+    except ValueError:  # beyond int's digit limit
+        pass
+    raise DescriptorError(f"BURNEQ_ORDER_CAP must be a positive integer, got {value!r}")
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -26,13 +26,12 @@ Products of maps over V and W live over the block sum V (+) W: each pair of
 zero orbits G y x G z splits into diagonal orbits, and every resulting piece
 carries the product of the two local indices as a declared index. Every
 diagonal orbit meets the row {y} x G z, where it is a G_y-orbit, so the
-diagonal orbits are enumerated from that one row. Each factor piece gets one
-image pass on its own representation, a table from each element to the
-position of its image in the piece's orbit; rho(k)(y, rho(h) z0) = (rho(k) y,
-rho(kh) z0) makes every image on the block sum an index lookup, and no
-matrix is applied there. The product is built directly, as `standard_piece`
-and `polystandard_map` validate outside input only; `OrbitProductRow` says
-what that means for its rows.
+diagonal orbits are enumerated from that one row. The split is group data
+(tom Dieck, Transformation Groups and Representation Theory, LNM 766, 1979):
+G y is G/G_y, so rho(g) y is point `left_cosets(G, G_y)[g]` of its orbit,
+and every image on the block sum is an index lookup. The product is built
+directly, as `standard_piece` and `polystandard_map` validate outside input
+only; `OrbitProductRow` says what that means for its rows.
 """
 
 from __future__ import annotations
@@ -51,13 +50,12 @@ from .burnside import BurnsideElement, mul as ring_mul
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
-    GroupMismatch,
     InvalidPiece,
     OverlappingPieces,
     SingularJacobian,
 )
 from .expr import Expr
-from .group import Subgroup, class_index_of, subgroup_classes
+from .group import Subgroup, class_index_of, left_cosets, subgroup_classes
 from .linalg import IntOrbit, IntVector, Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
@@ -100,6 +98,10 @@ LocalMapDef = Union[LinearLocalMap, ExpressionLocalMap, DeclaredLocalMap]
 
 @dataclass(frozen=True)
 class StandardPiece:
+    """One zero orbit; `orbit` lists rho(g) x0 for g = 0, 1, ..., each new point
+    once, as integer points over one scale. Every constructor keeps that order,
+    and `_product` reads rho(g) x0 as point `left_cosets(G, isotropy)[g]`."""
+
     base_point: Vector
     isotropy: Subgroup
     radius: Fraction
@@ -409,16 +411,6 @@ def existence_check(result: DegreeResult) -> bool:
 
 # ---------------------------------------------------------------- products
 
-def _image_table(rep: OrthogonalRepresentation, piece: StandardPiece) -> list[int]:
-    """The position of rho(g) x0 in the piece's orbit for each element g, from
-    one image pass."""
-    x0 = piece.base_point
-    s = math.lcm(*(c.denominator for c in x0))
-    position = {point: k for k, point in enumerate(piece.orbit[0])}
-    return [position[image]
-            for image in rep.images(tuple(c.numerator * (s // c.denominator) for c in x0))]
-
-
 def _rescaled(points: Sequence[IntVector], scale: int, old: int) -> Sequence[IntVector]:
     """Integer points over `old` restated over `scale`; the caller knows the
     results are integers."""
@@ -430,14 +422,11 @@ def _rescaled(points: Sequence[IntVector], scale: int, old: int) -> Sequence[Int
 def _product(f: PolystandardMap, g: PolystandardMap):
     """The product map and the factor pieces (p, q) of each of its pieces.
 
-    Each factor piece gets one image pass on its own representation
-    (`_image_table`); every image on the block sum is then an index lookup,
-    rho(k)(y, rho(h) z0) = (rho(k) y, rho(kh) z0). A piece's isotropy, its
-    orbit (points and scale) and the row it covers come out exactly as
-    `integer_orbit` on the sum representation would give them.
+    rho(g) x0 is point `left_cosets(G, G_x0)[g]` of a piece's orbit, and
+    rho(k)(y, rho(h) z0) = (rho(k) y, rho(kh) z0), so every image on the block
+    sum is an index lookup and no matrix is applied. A piece's isotropy, orbit
+    (points and scale) and covered row are what `integer_orbit` on the sum gives.
     """
-    if f.rep.group is not g.rep.group:
-        raise GroupMismatch("maps over representations of different groups")
     sum_rep = direct_sum(f.rep, g.rep)
     if not f.pieces or not g.pieces:
         return PolystandardMap(sum_rep, ()), ()
@@ -454,25 +443,23 @@ def _product(f: PolystandardMap, g: PolystandardMap):
     if spacings:
         size = min(size, linalg.rational_sqrt_floor(min(spacings) / 32))
 
-    mult = f.rep.group.mult_table
-    denom = sum_rep.denom
-    tables = [_image_table(g.rep, q) for q in g.pieces]
+    group, denom = sum_rep.group, sum_rep.denom
+    mult = group.mult_table
+    tables = [left_cosets(group, q.isotropy) for q in g.pieces]
     pieces, factors = [], []
     for p in f.pieces:
-        y = p.base_point
         ys, yscale = p.orbit
-        ytable = _image_table(f.rep, p)
+        ytable = left_cosets(group, p.isotropy)
         stabilizer = p.isotropy.element_set  # G_y
         for q, ztable in zip(g.pieces, tables):
             # the diagonal orbits of G y x G z meet the row {y} x G z in
-            # the G_y-orbits on G z; one piece per G_y-orbit
+            # the G_y-orbits on G z; one piece per G_y-orbit, at its least h
             zs, zscale = q.orbit
             covered: set[int] = set()
-            for i, z in enumerate(zs):
+            for h, i in enumerate(ztable):
                 if i in covered:
                     continue
-                x = y + tuple(Fraction(v, zscale) for v in z)
-                h = ztable.index(i)  # z = rho(h) z0
+                x = p.base_point + tuple(Fraction(v, zscale) for v in zs[i])  # (y, rho(h) z0)
                 moved = [ztable[row[h]] for row in mult]  # k -> position of rho(k) z
                 sub = Subgroup.of(k for k in stabilizer if moved[k] == i)
                 covered.update(moved[k] for k in stabilizer)

@@ -59,7 +59,7 @@ def _load_json(path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DescriptorError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
         raise DescriptorError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DescriptorError(f"{path}: top level must be a JSON object")

@@ -149,7 +149,10 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", offset)
 
     def parse(self) -> Node:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except ValueError as exc:  # int() on the token just read: a digit it refuses, or too many
+            raise ExprSyntaxError(f"bad literal: {exc}", self.tokens[self.pos - 1][2]) from exc
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {value!r}", offset)

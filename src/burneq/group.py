@@ -311,6 +311,19 @@ def conjugate_subgroup(group: FiniteGroup, subgroup: Subgroup, g: int) -> Subgro
     return Subgroup(sum(1 << mult[mult[g][h]][gi] for h in subgroup.element_set))
 
 
+def left_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[int]:
+    """The number of the left coset g H of each element g, cosets numbered in
+    the order of their least elements: the position of rho(g) x in the orbit
+    G x = G/H of a point with isotropy H, listed in first-seen element order."""
+    number, count = [-1] * group.order, 0
+    for g, row in enumerate(group.mult_table):
+        if number[g] < 0:
+            for h in subgroup.element_set:
+                number[row[h]] = count
+            count += 1
+    return number
+
+
 def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, sorted by (order, element_set)."""
     return group.subgroups

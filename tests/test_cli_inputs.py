@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -248,3 +249,32 @@ def test_power_too_large_to_evaluate_exactly_is_refused(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: expression piece has a power too large to evaluate exactly\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="integer-string conversion has no digit limit here")
+@pytest.mark.parametrize("where", ["descriptor", "order cap", "coefficient", "literal",
+                                   "exponent", "variable"])
+def test_integers_beyond_the_digit_limit_are_one_line_errors(tmp_path, capsys, monkeypatch,
+                                                             where):
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    expr = {"exponent": f"x1^{big}", "variable": f"x{big}"}.get(where, f"x1 - {big}")
+    group, rep, the_map = (tmp_path / name for name in ("group.json", "rep.json", "map.json"))
+    group.write_text(f'{{"points": {big}, "generators": [[0]]}}' if where == "descriptor"
+                     else json.dumps(S3_GROUP), encoding="utf-8")
+    rep.write_text(json.dumps(S3_PERM), encoding="utf-8")
+    the_map.write_text(json.dumps({"pieces": [{
+        "base_point": ["1", "1", "1"], "radius": "1/4", "epsilon": "1/4",
+        "local": {"type": "expr", "exprs": [expr]}}]}), encoding="utf-8")
+    monkeypatch.delenv("BURNEQ_ORDER_CAP", raising=False)
+    if where == "order cap":
+        monkeypatch.setenv("BURNEQ_ORDER_CAP", big)
+    g, r, m = str(group), str(rep), str(the_map)
+    argv = {
+        "descriptor": ["marks", "-g", g],
+        "order cap": ["marks", "-g", g],
+        "coefficient": ["realize", "-g", g, "-r", r, f"--element={big}*[G/e]"],
+    }.get(where, ["degree", "-g", g, "-r", r, "-m", m])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -635,7 +635,7 @@ def test_verify_product_computes_each_factor_index_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
-def test_one_image_pass_per_piece(name, monkeypatch):
+def test_one_image_pass_per_piece_and_none_per_product(name, monkeypatch):
     rep = make_rep(name)
     rng = random.Random(0)
     f = fuzz.random_polystandard_map(rep, rng)
@@ -648,9 +648,9 @@ def test_one_image_pass_per_piece(name, monkeypatch):
         bq.standard_piece(rep, p.base_point, p.local, p.radius, p.epsilon)
     assert len(calls) == len(f.pieces) > 0
     calls.clear()
+    # the product reads each factor point's position off the coset numbering
+    # of its isotropy, so no image pass runs, on a factor or on the block sum
     prod = bq.product_map(f, g)
-    # one pass per factor piece, on the factor's own representation; the
-    # product pieces' images are lookups, none on the block sum
-    assert len(calls) == len(f.pieces) + len(g.pieces) > 0
-    assert all(r is f.rep or r is g.rep for r in calls)
-    assert not any(r is prod.rep for r in calls)
+    check = bq.verify_product(f, g)
+    assert prod.pieces and check.equal
+    assert calls == []

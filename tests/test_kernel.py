@@ -7,12 +7,14 @@ orbit-level spacing and overlap checks are compared with all-pairs minima
 kept in this file, `direct_sum` with a validated build of the dense block
 matrices, the one-row enumeration of diagonal orbits with a walk over all
 rows and its table-built orbits with `integer_orbit` on the block sum, the
-witness ladder with brute-force isotropy and orbits, and the
+left-coset numbering the product reads with the positions of one image pass,
+the witness ladder with brute-force isotropy and orbits, and the
 fraction-free elimination (kernels, fixed subspaces, solves, determinants)
 with Fraction elimination.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from burneq import fuzz
 from burneq.degree import DeclaredLocalMap, StandardPiece
 from burneq.errors import DimensionMismatch, EmptyOrbitTypeStratum, OverlappingPieces
 from burneq.representation import _witness_orbits, integer_orbit
-from burneq.group import class_index_of
+from burneq.group import class_index_of, left_cosets
 from groupdata import PRODUCT_CORPUS_REPS, fraction_det, fraction_kernel, make_group, make_rep
 from test_representation import OCCUPANCY_CORPUS, occupancy_rep
 
@@ -261,6 +263,33 @@ def test_product_pieces_match_all_rows_enumeration(left, right):
         for p in prod.pieces:
             assert as_fractions(p.orbit) == brute_orbit(prod.rep, p.base_point)
             assert integer_orbit(prod.rep, p.base_point) == (p.isotropy, p.orbit)
+
+
+def image_positions(rep, piece):
+    """The position of rho(g) x0 in the piece's orbit for each g, from one image pass."""
+    s = math.lcm(*(c.denominator for c in piece.base_point))
+    position = {point: k for k, point in enumerate(piece.orbit[0])}
+    return [position[image]
+            for image in rep.images(tuple(c.numerator * (s // c.denominator)
+                                          for c in piece.base_point))]
+
+
+@pytest.mark.parametrize("name", KERNEL_REPS)
+def test_left_coset_numbers_are_orbit_positions(name):
+    # the product reads where rho(g) moves a base point off the coset
+    # numbering of its isotropy; the witness ladder, integer_orbit and the
+    # product itself must each list an orbit so that this holds
+    rep = kernel_rep(name)
+    rng = random.Random(f"cosets {name}")
+    f = fuzz.random_polystandard_map(rep, rng)
+    g = fuzz.random_polystandard_map(rep, rng)
+    prod = bq.product_map(f, g)
+    for p in (*f.pieces, *g.pieces):
+        assert integer_orbit(rep, p.base_point) == (p.isotropy, p.orbit)
+    cases = [(rep, p) for p in (*f.pieces, *g.pieces)] + [(prod.rep, p) for p in prod.pieces]
+    assert len(cases) > len(f.pieces) + len(g.pieces) > 0
+    for r, p in cases:
+        assert left_cosets(r.group, p.isotropy) == image_positions(r, p), p.base_point
 
 
 # ---------------------------------------------------------------- witness ladder
