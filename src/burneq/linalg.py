@@ -166,37 +166,38 @@ def int_norm2(a: IntVector, b: IntVector) -> int:
     return sum((x - y) * (x - y) for x, y in zip(a, b))
 
 
+def _lift(orbits: Sequence[IntOrbit]) -> tuple[list[list[IntVector]], int]:
+    """Every orbit's points over s, the lcm of the scales, by integer multiplication."""
+    scale = lcm(*(s for _, s in orbits))
+    return [[tuple(scale // s * v for v in p) for p in points] for points, s in orbits], scale
+
+
 def orbit_gaps2(orbits: Sequence[IntOrbit]) -> tuple[list[list[int | None]], int]:
-    """Squared closest approach between orbits of one isometric action.
+    """Squared closest approach between distinct orbits of one isometric action.
 
     Each orbit is a pair (points, s_k) of integer points over a scale, base
-    point first. Returns a table whose entry [i][j], j >= i, is s^2 min
-    |a - b|^2 over a in orbit i and b in orbit j, b != a if j == i (None for
-    a one-point orbit), and s, the lcm of the s_k, to which every orbit is
-    lifted by integer multiplication. As |g x - b| = |x - g^-1 b|, a can
-    stay at the base point x: #orbits x #points distances give the
-    all-pairs minima exactly.
+    point first. Returns a table whose entry [i][j], j > i, is s^2 min
+    |a - b|^2 over a in orbit i and b in orbit j (None on and below the
+    diagonal), and s, the lcm of the s_k, to which every orbit is lifted by
+    integer multiplication. As |g x - b| = |x - g^-1 b|, a can stay at the
+    base point x: #orbits x #points distances give the all-pairs minima
+    exactly.
     """
-    scale = lcm(*(s for _, s in orbits))
-    ints = [[tuple(scale // s * v for v in p) for p in points] for points, s in orbits]
-    gaps: list[list[int | None]] = []
-    for i, orb in enumerate(ints):
-        x = orb[0]
-        row: list[int | None] = [None] * i
-        row.append(min((int_norm2(x, b) for b in orb[1:]), default=None))
-        row.extend(min(int_norm2(x, b) for b in other) for other in ints[i + 1:])
-        gaps.append(row)
-    return gaps, scale
+    ints, scale = _lift(orbits)
+    return [[None] * (i + 1) + [min(int_norm2(orb[0], b) for b in other)
+                                for other in ints[i + 1:]]
+            for i, orb in enumerate(ints)], scale
 
 
 def min_orbit_spacing2(orbits: Sequence[IntOrbit]) -> Fraction | None:
     """Minimum squared distance between distinct points of a union of orbits.
 
     The orbits come from one isometric action and list their base points
-    first (see `orbit_gaps2`); two orbits that share a point give 0. None
-    when the union has fewer than two points.
+    first; each base point is compared with the rest of its own orbit and
+    with every later orbit (see `orbit_gaps2`), and two orbits that share a
+    point give 0. None when the union has fewer than two points.
     """
-    gaps, scale = orbit_gaps2(orbits)
-    best = min((d for row in gaps for d in row if d is not None), default=None)
+    ints, scale = _lift(orbits)
+    best = min((int_norm2(orb[0], b) for i, orb in enumerate(ints)
+                for other in (orb[1:], *ints[i + 1:]) for b in other), default=None)
     return None if best is None else Fraction(best, scale * scale)
-

@@ -1,19 +1,29 @@
 """Orthogonal representations of finite groups over exact rationals.
 
-All representation algebra is exact and runs on integers: rho(g) = A_g / D
-with A_g kept as sparse rows of (column, coefficient) pairs and D common to
-the group. A monomial (signed-permutation) row has one pair, so applying it
-is an index shuffle; a dense rational row is the same code with more pairs.
-`integer_orbit` clears a point's denominators once, x = X / s, and one pass
-of integer images A_g X gives its isotropy and its orbit, integer points
-over the scale D * s; `isotropy` and `orbit` are views of it. `direct_sum`
-stacks the rows of two validated blocks over one denominator. The exact
-Fraction matrices (`matrices`, used by `apply`) are derived on first use;
-tests check the integer kernel against them. Floats never enter here.
+A representation has one of two storages, chosen from its input, and each
+operation has one route per storage; nothing selects them otherwise.
+
+- Signed permutation: every rho(g) is an orthogonal monomial matrix,
+  stored as a coordinate shuffle, (rho(g) x)_i = signs[g][i] *
+  x[sources[g][i]], with denom 1. Closure composes shuffles, an image is
+  a shuffle of the point, a trace is a signed count of fixed coordinates,
+  and a basis of V^H is read off the H-orbits of signed coordinates. The
+  permutation and regular representations are built straight from the
+  group's tables.
+- Dense: rho(g) = A_g / D with A_g kept as sparse integer rows of (column,
+  coefficient) pairs and D common to the group, closed by sparse products;
+  a basis of V^H is the kernel of one fraction-free elimination.
+
+Both storages expose the integer rows (`rows`, derived on first use for a
+shuffle) and the exact Fraction matrices (`matrices`, used by `apply`);
+tests check the integer routes against them. `integer_orbit` clears a
+point's denominators once, x = X / s, and one pass of integer images A_g X
+gives its isotropy and its orbit, integer points over the scale D * s;
+`isotropy` and `orbit` are views of it. `direct_sum` concatenates two
+shuffles, or stacks the rows of two blocks over one denominator. Floats
+never enter here.
 Fixed-space dimensions come from characters: dim V^H is the mean trace of
-the subgroup's matrices, read off the diagonals of the integer rows, so the
-orbit-type table builds no basis; a basis of V^H, when one is needed, is
-the kernel of one fraction-free elimination.
+the subgroup's matrices, so the orbit-type table builds no basis.
 Witnesses come from the one integer ladder of `witness_points`, which
 hands back each pick's orbit from its image pass.
 Representations that need irrational matrices must be fed in through a
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -38,7 +49,6 @@ from .errors import (
 )
 from .group import (
     FiniteGroup,
-    Perm,
     Subgroup,
     all_subgroups,
     class_index_of,
@@ -53,21 +63,47 @@ from .linalg import IntOrbit, IntVector, Matrix, Vector
 IntMatrix = tuple[tuple[tuple[int, int], ...], ...]
 
 
-class OrthogonalRepresentation:
-    """One exact-rational orthogonal matrix per group element, rows[g] / denom.
+# one coordinate shuffle: (sources, signs), (rho x)_i = signs[i] * x[sources[i]]
+Shuffle = tuple[tuple[int, ...], tuple[int, ...]]
 
-    Construct through `build_representation`; immutable afterwards. Derived
-    data (Fraction matrices, fixed subspaces, orbit types) is cached.
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
+class OrthogonalRepresentation:
+    """One exact-rational orthogonal matrix per group element, in one of two
+    storages:
+
+    - signed permutation: `sources[g]` and `signs[g]`, with (rho(g) x)_i =
+      signs[g][i] * x[sources[g][i]] and denom 1; `rows` is derived from
+      them on first use;
+    - dense: `rows[g] / denom`, sparse integer rows over one denominator;
+      `sources` and `signs` are None.
+
+    Construct through `build_representation`, which picks the storage from
+    its input, or the constructors below; immutable afterwards. Images,
+    traces and fixed-space bases take one route per storage. Derived data
+    (Fraction matrices, fixed subspaces, orbit types) is cached.
     """
 
-    def __init__(self, group: FiniteGroup, dim: int, rows: tuple[IntMatrix, ...],
-                 denom: int, label: str | None = None):
+    def __init__(self, group: FiniteGroup, dim: int, rows: tuple[IntMatrix, ...] | None = None,
+                 denom: int = 1, label: str | None = None,
+                 sources: tuple[tuple[int, ...], ...] | None = None,
+                 signs: tuple[tuple[int, ...], ...] | None = None):
         self.group = group
         self.dim = dim
-        self.rows = rows
+        if rows is not None:
+            self.rows = rows  # dense; a shuffled representation derives them
         self.denom = denom
         self.label = label
+        self.sources = sources
+        self.signs = signs
         self._fixed_cache: dict[int, FixedSubspace] = {}  # keyed by subgroup mask
+
+    @cached_property
+    def rows(self) -> tuple[IntMatrix, ...]:
+        """The integer rows of the shuffles, one (column, sign) pair each."""
+        return tuple(tuple(((j, s),) for j, s in zip(src, sgn))
+                     for src, sgn in zip(self.sources, self.signs))
 
     @cached_property
     def orbit_types(self) -> OrbitTypeTable:
@@ -75,12 +111,18 @@ class OrthogonalRepresentation:
 
         dim V^H = sum_h tr A_h / (|H| D), the multiplicity of the trivial
         character (Serre, Linear Representations of Finite Groups, 1977,
-        section 2), from one pass over the diagonals; no basis is built.
-        Class i is empty iff some class j != i with class_leq(i, j) fixes a
-        space of the same dimension, as a finite union of proper subspaces
-        cannot cover a rational space."""
-        traces = [sum(c for i, row in enumerate(rows) for j, c in row if j == i)
-                  for rows in self.rows]
+        section 2), from one pass over the traces: the signed count of the
+        coordinates a shuffle keeps in place, or the diagonals of the
+        integer rows; no basis is built. Class i is empty iff some class
+        j != i with class_leq(i, j) fixes a space of the same dimension, as
+        a finite union of proper subspaces cannot cover a rational space."""
+        if self.sources is not None:
+            coords = range(self.dim)
+            traces = [sum(s for i, j, s in zip(coords, src, sgn) if i == j)
+                      for src, sgn in zip(self.sources, self.signs)]
+        else:
+            traces = [sum(c for i, row in enumerate(rows) for j, c in row if j == i)
+                      for rows in self.rows]
         classes = subgroup_classes(self.group)
         dims = [sum(traces[h] for h in c.representative.element_set)
                 // (c.representative.order * self.denom) for c in classes]
@@ -104,6 +146,9 @@ class OrthogonalRepresentation:
 
     def images(self, point: IntVector) -> list[IntVector]:
         """rows[g] X for every element g; rho(g) (X / s) is that over denom * s."""
+        if self.sources is not None:
+            return [tuple(map(mul, sgn, map(point.__getitem__, src)))
+                    for src, sgn in zip(self.sources, self.signs)]
         out = []
         for rows in self.rows:
             image = []
@@ -141,9 +186,10 @@ class OrbitTypeTable:
     entries: tuple[OrbitTypeEntry, ...]
 
 
-# ---------------------------------------------------------------- integer kernel
-# During closure a matrix is a pair (rows, d), meaning rows / d, kept canonical
-# (d shares no factor with every entry) so that equal matrices are equal pairs.
+# ---------------------------------------------------------------- closure
+# During dense closure a matrix is a pair (rows, d), meaning rows / d, kept
+# canonical (d shares no factor with every entry) so that equal matrices are
+# equal pairs.
 
 def _clear(m: Matrix) -> tuple[IntMatrix, int]:
     d = lcm(*(x.denominator for row in m for x in row))
@@ -177,6 +223,31 @@ def _transpose(rows: IntMatrix, dim: int) -> IntMatrix:
     return tuple(map(tuple, cols))
 
 
+def _signed_permutation(m: Matrix, dim: int) -> Shuffle | None:
+    """The shuffle of m when m is dim x dim with one nonzero entry, +-1, in
+    each row and distinct columns, which is exactly an orthogonal monomial
+    matrix; None otherwise."""
+    if len(m) != dim:
+        return None
+    sources, signs = [], []
+    for row in m:
+        entries = [(j, x) for j, x in enumerate(row) if x]
+        if len(row) != dim or len(entries) != 1 or entries[0][1] not in (1, -1):
+            return None
+        sources.append(entries[0][0])
+        signs.append(int(entries[0][1]))
+    if len(set(sources)) != dim:
+        return None
+    return tuple(sources), tuple(signs)
+
+
+def _compose(a: Shuffle, b: Shuffle) -> Shuffle:
+    """rho(a) rho(b): sources_ab[i] = sources_b[sources_a[i]] and
+    signs_ab[i] = signs_a[i] * signs_b[sources_a[i]]."""
+    (sa, ga), (sb, gb) = a, b
+    return tuple(map(sb.__getitem__, sa)), tuple(map(mul, ga, map(gb.__getitem__, sa)))
+
+
 def build_representation(group: FiniteGroup, generator_matrices,
                          label: str | None = None) -> OrthogonalRepresentation:
     """Extend generator matrices to the whole group and validate.
@@ -188,6 +259,10 @@ def build_representation(group: FiniteGroup, generator_matrices,
     every other pair is. Together with rho(e) = I the generator-sided
     identity forces the full homomorphism property by induction on word
     length: rho(w g) = rho(w) rho(g) for every word w and generator g.
+
+    When every generator is a signed permutation, which is orthogonal by
+    its shape, the closure composes shuffles and the representation keeps
+    them; any other input is closed and kept densely.
     """
     gens = [linalg.mat(m) for m in generator_matrices]
     if len(gens) != len(group.generator_perms):
@@ -197,6 +272,12 @@ def build_representation(group: FiniteGroup, generator_matrices,
     if not gens:
         raise DimensionMismatch("no generator matrices")
     dim = len(gens[0])
+    shuffles = [_signed_permutation(m, dim) for m in gens]
+    if None not in shuffles:
+        identity = (tuple(range(dim)), (1,) * dim)
+        sources, signs = zip(*_close(group, shuffles, identity, _compose))
+        return _shuffled(group, sources, signs, label)
+
     identity = (tuple(((i, 1),) for i in range(dim)), 1)
     int_gens = []
     for m in gens:
@@ -206,20 +287,7 @@ def build_representation(group: FiniteGroup, generator_matrices,
         if _product((_transpose(rows, dim), d), (rows, d)) != identity:
             raise NotOrthogonal("generator matrix is not orthogonal")
         int_gens.append((rows, d))
-
-    elements = [identity] * group.order
-    for idx in range(1, group.order):
-        parent, gi = group.construction[idx]
-        elements[idx] = _product(elements[parent], int_gens[gi])
-
-    mult, construction = group.mult_table, group.construction
-    for y in range(group.order):
-        for gi, ge in enumerate(group.generator_indices):
-            yg = mult[y][ge]
-            if construction[yg] != (y, gi) and elements[yg] != _product(elements[y], int_gens[gi]):
-                raise NotAHomomorphism(
-                    f"matrices violate the relation at element {y}, generator {gi}"
-                )
+    elements = _close(group, int_gens, identity, _product)
     denom = lcm(*(d for _, d in elements))
     rows = tuple(
         tuple(tuple((j, c * (denom // d)) for j, c in row) for row in a)
@@ -228,27 +296,47 @@ def build_representation(group: FiniteGroup, generator_matrices,
     return OrthogonalRepresentation(group, dim, rows, denom, label=label)
 
 
-def _perm_matrix(perm: Perm) -> Matrix:
-    n = len(perm)
-    return tuple(
-        tuple(Fraction(1 if i == perm[j] else 0) for j in range(n)) for i in range(n)
-    )
+def _close(group: FiniteGroup, gens: list, identity, compose) -> list:
+    """Every element's matrix, composed along the closure's construction
+    edges, then checked against the generator-sided relations off them."""
+    elements = [identity] * group.order
+    for idx in range(1, group.order):
+        parent, gi = group.construction[idx]
+        elements[idx] = compose(elements[parent], gens[gi])
+
+    mult, construction = group.mult_table, group.construction
+    for y in range(group.order):
+        for gi, ge in enumerate(group.generator_indices):
+            yg = mult[y][ge]
+            if construction[yg] != (y, gi) and elements[yg] != compose(elements[y], gens[gi]):
+                raise NotAHomomorphism(
+                    f"matrices violate the relation at element {y}, generator {gi}"
+                )
+    return elements
+
+
+def _shuffled(group: FiniteGroup, sources, signs, label: str | None = None
+              ) -> OrthogonalRepresentation:
+    return OrthogonalRepresentation(group, len(sources[0]), label=label,
+                                    sources=sources, signs=signs)
 
 
 def permutation_representation(group: FiniteGroup) -> OrthogonalRepresentation:
-    """The defining permutation action as 0/1 orthogonal matrices."""
-    return build_representation(
-        group, [_perm_matrix(p) for p in group.generator_perms], label="permutation"
-    )
+    """The defining permutation action, rho(g) e_j = e_perm_g(j): coordinate
+    i of rho(g) x is x[perm_g^-1(i)], and perm_g^-1 = perm_(g^-1)."""
+    perms, inv = group.element_perms, group.inverse
+    ones = (1,) * group.points
+    return _shuffled(group, tuple(perms[inv[g]] for g in range(group.order)),
+                     (ones,) * group.order, "permutation")
 
 
 def regular_representation(group: FiniteGroup) -> OrthogonalRepresentation:
-    """The group permuting itself by left translation."""
-    perms = [
-        tuple(group.mult_table[ge][x] for x in range(group.order))
-        for ge in group.generator_indices
-    ]
-    return build_representation(group, [_perm_matrix(p) for p in perms], label="regular")
+    """The group permuting itself by left translation, rho(g) e_x = e_gx:
+    coordinate x of rho(g) v is v[g^-1 x], row g^-1 of the table."""
+    mult, inv = group.mult_table, group.inverse
+    ones = (1,) * group.order
+    return _shuffled(group, tuple(mult[inv[g]] for g in range(group.order)),
+                     (ones,) * group.order, "regular")
 
 
 def trivial_representation(group: FiniteGroup, dim: int = 1) -> OrthogonalRepresentation:
@@ -259,9 +347,18 @@ def trivial_representation(group: FiniteGroup, dim: int = 1) -> OrthogonalRepres
 
 def direct_sum(a: OrthogonalRepresentation,
                b: OrthogonalRepresentation) -> OrthogonalRepresentation:
-    """Block-diagonal sum of two representations of the same group."""
+    """Block-diagonal sum of two representations of the same group: the
+    shuffles concatenated, the second shifted past the first, when both are
+    signed permutations; the integer rows stacked otherwise."""
     if a.group is not b.group:
         raise GroupMismatch("representations of different groups")
+    if a.sources is not None and b.sources is not None:
+        n = a.dim
+        return _shuffled(
+            a.group,
+            tuple(sa + tuple(j + n for j in sb) for sa, sb in zip(a.sources, b.sources)),
+            tuple(ga + gb for ga, gb in zip(a.signs, b.signs)),
+        )
     denom = lcm(a.denom, b.denom)
     sa, sb = denom // a.denom, denom // b.denom
     rows = tuple(
@@ -275,27 +372,67 @@ def direct_sum(a: OrthogonalRepresentation,
 # ---------------------------------------------------------------- fixed spaces
 
 def fixed_subspace(rep: OrthogonalRepresentation, subgroup: Subgroup) -> FixedSubspace:
-    """Exact kernel of P - I, P = sum_h A_h / (|H| D) averaging the subgroup
-    matrices, taken fraction-free as the kernel of sum_h A_h - |H| D I."""
+    """A basis of V^H: the canonical `kernel_basis` of P - I, P the mean of
+    the subgroup's matrices, read off coordinate orbits for a signed
+    permutation representation and taken by elimination for a dense one."""
     cached = rep._fixed_cache.get(subgroup.mask)
     if cached is not None:
         return cached
-    class_index = class_index_of(rep.group, subgroup)
+    basis = (_orbit_basis if rep.sources is not None else _elimination_basis)(rep, subgroup)
+    result = FixedSubspace(
+        subgroup=subgroup,
+        class_index=class_index_of(rep.group, subgroup),
+        basis=basis,
+        dim_fixed=len(basis),
+    )
+    rep._fixed_cache[subgroup.mask] = result
+    return result
+
+
+def _elimination_basis(rep: OrthogonalRepresentation, subgroup: Subgroup) -> tuple[Vector, ...]:
+    """The kernel of P - I taken fraction-free as the kernel of
+    sum_h A_h - |H| D I."""
     n, scale = rep.dim, subgroup.order * rep.denom
     total = [[-scale if i == j else 0 for j in range(n)] for i in range(n)]
     for h in subgroup.element_set:
         for acc, row in zip(total, rep.rows[h]):
             for j, c in row:
                 acc[j] += c
-    basis = tuple(linalg.kernel_basis(total))
-    result = FixedSubspace(
-        subgroup=subgroup,
-        class_index=class_index,
-        basis=basis,
-        dim_fixed=len(basis),
-    )
-    rep._fixed_cache[subgroup.mask] = result
-    return result
+    return tuple(linalg.kernel_basis(total))
+
+
+def _orbit_basis(rep: OrthogonalRepresentation, subgroup: Subgroup) -> tuple[Vector, ...]:
+    """V^H from the H-orbits of signed coordinates.
+
+    rho(h^-1) e_i = signs[h][i] e_sources[h][i], so running h over H lists
+    the orbit of e_i. Its sum is fixed, and zero exactly when the orbit
+    meets -e_i; the other orbits' sums have disjoint supports and span V^H.
+    An orbit's largest coordinate is a free column of P - I, so its sum
+    signed +1 there is the `kernel_basis` vector of that column. The walk
+    runs from the largest coordinate down, and the vectors come back in
+    column order.
+    """
+    n = rep.dim
+    shuffles = [(rep.sources[h], rep.signs[h]) for h in subgroup.element_set]
+    covered = [False] * n
+    basis = []
+    for i in range(n - 1, -1, -1):
+        if covered[i]:
+            continue
+        signed: dict[int, int] = {}  # coordinate -> sign of e_i's image there
+        vanishes = False
+        for src, sgn in shuffles:
+            j, s = src[i], sgn[i]
+            covered[j] = True
+            if signed.setdefault(j, s) != s:
+                vanishes = True
+        if not vanishes:
+            v = [_ZERO] * n
+            for j, s in signed.items():
+                v[j] = _ONE if s > 0 else _MINUS_ONE
+            basis.append(tuple(v))
+    basis.reverse()
+    return tuple(basis)
 
 
 def integer_orbit(rep: OrthogonalRepresentation, point) -> tuple[Subgroup, IntOrbit]:

@@ -451,12 +451,14 @@ def sign_twisted_s4():
 
 
 def fixed_space_rep(name):
-    if name == "S4-perm":
-        return bq.permutation_representation(make_group("S4"))
-    if name == "Q8-regular":
-        return bq.regular_representation(make_group("Q8"))
+    if name in ("S4-perm", "A5-perm"):
+        return bq.permutation_representation(make_group(name[:2]))
+    if name in ("Q8-regular", "A4-regular"):
+        return bq.regular_representation(make_group(name[:2]))
     if name == "S4-twisted":
         return sign_twisted_s4()
+    if name == "S4-twisted+S4-perm":  # signs on one block only
+        return bq.direct_sum(sign_twisted_s4(), fixed_space_rep("S4-perm"))
     return kernel_rep(name)
 
 
@@ -470,7 +472,10 @@ def p_minus_i(rep, sub):
 
 
 DENSE_REPS = ["Z2-reflection", "S3-rotated", "D4-rotated"]
-FIXED_SPACE_REPS = PRODUCT_CORPUS_REPS + ["S4-perm", "S3-regular", "Q8-regular", "S4-twisted"]
+FIXED_SPACE_REPS = PRODUCT_CORPUS_REPS + [
+    "S4-perm", "S3-regular", "Q8-regular", "S4-twisted",
+    "A4-regular", "A5-perm", "S4-twisted+S4-perm",
+]
 
 
 @pytest.mark.parametrize("name", FIXED_SPACE_REPS + DENSE_REPS)
@@ -490,3 +495,19 @@ def test_trace_dimensions_equal_the_fraction_rref_kernel(name):
     for sub in bq.all_subgroups(rep.group):
         expected = len(fraction_kernel(p_minus_i(rep, sub)))
         assert entries[class_index_of(rep.group, sub)].dim_fixed == expected
+
+
+@pytest.mark.parametrize("name", FIXED_SPACE_REPS)
+def test_shuffles_and_dense_rows_agree(name):
+    # the same matrices in the dense storage take the row routes: equal
+    # image passes, orbit-type tables and fixed-space bases
+    rep = fixed_space_rep(name)
+    assert rep.sources is not None
+    dense = bq.OrthogonalRepresentation(rep.group, rep.dim, rep.rows, rep.denom)
+    rng = random.Random(f"storages {name}")
+    for _ in range(4):
+        point = tuple(rng.randint(-3, 3) for _ in range(rep.dim))
+        assert rep.images(point) == dense.images(point)
+    assert bq.orbit_types(rep) == bq.orbit_types(dense)
+    for sub in bq.all_subgroups(rep.group):
+        assert bq.fixed_subspace(rep, sub) == bq.fixed_subspace(dense, sub)

@@ -64,18 +64,86 @@ def test_two_generator_relation_violation_rejected(s3):
         bq.build_representation(s3, [la.identity(3), cycle])
 
 
+def count_calls(monkeypatch, *names):
+    """Record every call of the named `representation` functions in one list."""
+    calls = []
+    for name in names:
+        fn = getattr(rep_mod, name)
+        monkeypatch.setattr(rep_mod, name,
+                            lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["permutation", "regular"])
 def test_build_skips_the_construction_edges(kind, monkeypatch):
+    a5 = make_group("A5")
+    k = len(a5.generator_perms)
+    construct = bq.permutation_representation if kind == "permutation" else bq.regular_representation
+    # the constructors read the group's tables: no build, no composition
+    calls = count_calls(monkeypatch, "build_representation", "_compose", "_product")
+    rep = construct(a5)
+    assert calls == []
+    # from the generator matrices: |G| - 1 closure compositions and
+    # |G| k - (|G| - 1) relation checks off the construction edges, and no
+    # orthogonality product, as a signed permutation is orthogonal by shape
+    gens = [rep.matrices[ge] for ge in a5.generator_indices]
+    built = rep_mod.build_representation(a5, gens)
+    assert calls == ["build_representation"] + ["_compose"] * (a5.order * k) and len(calls) == 121
+    assert (built.sources, built.signs) == (rep.sources, rep.signs)
+
+
+def test_dense_build_skips_the_construction_edges(monkeypatch):
     # k orthogonality checks, |G| - 1 closure products, and |G| k - (|G| - 1)
     # relation checks off the construction edges
-    a5 = make_group("A5")
-    calls = []
-    product = rep_mod._product
-    monkeypatch.setattr(rep_mod, "_product", lambda a, b: calls.append(1) or product(a, b))
-    build = bq.permutation_representation if kind == "permutation" else bq.regular_representation
-    build(a5)
-    k = len(a5.generator_perms)
-    assert len(calls) == a5.order * k + k == 122
+    s3 = make_group("S3")
+    k = len(s3.generator_perms)
+    rotation = la.mat([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
+    perm = bq.permutation_representation(s3)
+    gens = [la.matmul(rotation, la.matmul(perm.matrices[ge], la.transpose(rotation)))
+            for ge in s3.generator_indices]
+    calls = count_calls(monkeypatch, "_product", "_compose")
+    rep = bq.build_representation(s3, gens)
+    assert rep.sources is None and rep.denom > 1
+    assert calls == ["_product"] * (k + s3.order * k) and len(calls) == 14
+
+
+def dense_generators(group, kind):
+    """Generator matrices of the permutation (e_j -> e_perm(j)) or regular
+    (e_x -> e_gx) representation, by composing permutations."""
+    perms = group.generator_perms
+    if kind == "regular":
+        index = {p: i for i, p in enumerate(group.element_perms)}
+        perms = [[index[tuple(g[y] for y in e)] for e in group.element_perms] for g in perms]
+    return [la.mat([[int(i == p[j]) for j in range(len(p))] for i in range(len(p))])
+            for p in perms]
+
+
+@pytest.mark.parametrize("kind", ["perm", "regular"])
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4", "A5"])
+def test_table_constructors_equal_the_build_of_dense_generators(name, kind):
+    group = make_group(name)
+    gens = dense_generators(group, kind)
+    rep = (bq.permutation_representation if kind == "perm" else bq.regular_representation)(group)
+    built = bq.build_representation(group, gens)
+    assert (rep.sources, rep.signs) == (built.sources, built.signs)
+    assert (rep.rows, rep.denom) == (built.rows, built.denom) and rep.denom == 1
+    assert rep.matrices == built.matrices
+    if (name, kind) == ("A5", "regular"):
+        return  # 59 products of 60 x 60 Fraction matrices take about 40 s
+    products = [la.identity(rep.dim)] * group.order
+    for idx, (parent, gi) in enumerate(group.construction[1:], 1):
+        products[idx] = la.matmul(products[parent], gens[gi])
+    assert rep.matrices == tuple(products)
+
+
+def test_monomial_looking_inputs_take_the_dense_checks(z2):
+    # one nonzero entry per row, but a repeated column of +-1 or a -2
+    for m in ([[0, 1], [0, -1]], [[-2, 0], [0, 1]]):
+        with pytest.raises(NotOrthogonal):
+            bq.build_representation(z2, [m])
+    # a sign has order 2, so it cannot represent a generator of order 3
+    with pytest.raises(NotAHomomorphism, match="at element 2, generator 0"):
+        bq.build_representation(bq.generate_group([[1, 2, 0]]), [[[-1]]])
 
 
 def test_wrong_matrix_count_rejected(s3):
