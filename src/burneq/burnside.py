@@ -8,10 +8,12 @@ diagonal mark (the Weyl group order) and row j times that coefficient is
 subtracted from the residual. The marks are lower triangular, so once the
 classes above j are peeled off, the residual at j is c_j times the diagonal
 mark alone: the integer division is exact for a mark vector, and a nonzero
-remainder means the vector is not one. Zero residuals are skipped. Mark
-row i vanishes above class i, so a product's marks vanish above the lower
-of its factors' top classes m, and only those m entries are built and
-peeled: a product with k nonzero coefficients costs O(m + k·m).
+remainder means the vector is not one. Zero residuals are skipped, and a
+peeled row subtracts only its nonzero marks below the diagonal
+(`FiniteGroup.mark_rows`). Mark row i vanishes above class i, so an
+element's marks vanish above its top nonzero class: each element builds its
+mark prefix through that class once (`BurnsideElement.mark_prefix`), and a
+product multiplies the two prefixes up to the lower top and peels only that.
 `decompose_gset` is the independent brute-force route (orbit counting plus
 stabilizers) used to cross-check that engine.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DescriptorError, GroupMismatch, InvalidAction, NonIntegralSolution
@@ -58,6 +61,21 @@ class BurnsideElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    @cached_property
+    def mark_prefix(self) -> tuple[int, ...]:
+        """The mark vector up to the top nonzero class, above which it is 0,
+        as mark row i vanishes above class i. Empty for zero. Built on first
+        use and kept; it takes no part in equality or hashing."""
+        support = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        if not support:
+            return ()
+        marks = self.group.marks
+        (top, c), *rest = reversed(support)
+        vec = [c * r for r in marks[top][:top + 1]]
+        for i, c in rest:
+            vec = [v + c * r for v, r in zip(vec, marks[i])]
+        return tuple(vec)
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         return add(self, other)
@@ -191,38 +209,22 @@ def table_of_marks(group: FiniteGroup) -> TableOfMarks:
 
 def mark_vector(x: BurnsideElement) -> tuple[int, ...]:
     """Image of x under the mark homomorphism, one integer per class."""
-    support = _support(x)
-    return tuple(_mark_prefix(x.group, support, len(x.coeffs))) if support else x.coeffs
-
-
-def _support(x: BurnsideElement) -> list[tuple[int, int]]:
-    """The (class index, coefficient) pairs with a nonzero coefficient, ascending."""
-    return [(i, c) for i, c in enumerate(x.coeffs) if c]
-
-
-def _mark_prefix(group: FiniteGroup, support: list[tuple[int, int]], m: int) -> list[int]:
-    """The first m entries of the mark vector of the element with this support."""
-    marks = group.marks
-    (i, c), *rest = support
-    vec = [c * r for r in marks[i][:m]]
-    for i, c in rest:
-        vec = [v + c * r for v, r in zip(vec, marks[i])]
-    return vec
+    return x.mark_prefix + (0,) * (len(x.coeffs) - len(x.mark_prefix))
 
 
 def _coeffs_from_marks(group: FiniteGroup, mk: Sequence[int]) -> tuple[int, ...]:
     """Peel class rows off a mark vector, or a prefix of one that vanishes
     beyond it, from its top entry down.
 
-    The residual entry popped at class j is mk[j] minus the marks at j of
-    every class above j times its coefficient. After the pop the residual
-    holds the classes below j only, so the zip takes marks[j][:j].
+    The residual entry at class j is mk[j] minus the marks at j of every
+    class above j times its coefficient; peeling class j then lowers the
+    entries below j where row j has a nonzero mark.
     """
-    marks = group.marks
+    marks, rows = group.marks, group.mark_rows
     residual = list(mk)
     coeffs = [0] * len(marks)
     for j in range(len(residual) - 1, -1, -1):
-        s = residual.pop()
+        s = residual[j]
         if s:
             q, r = divmod(s, marks[j][j])
             if r != 0:
@@ -230,7 +232,8 @@ def _coeffs_from_marks(group: FiniteGroup, mk: Sequence[int]) -> tuple[int, ...]
                     f"mark vector is not in the image of the mark homomorphism at class {j}"
                 )
             coeffs[j] = q
-            residual = [x - q * m for x, m in zip(residual, marks[j])]
+            for k, m in rows[j]:
+                residual[k] -= q * m
     return tuple(coeffs)
 
 
@@ -243,17 +246,14 @@ def add(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
 def mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     """Ring product via marks: pointwise product, then exact peeling solve.
 
-    The marks of a vanish above its top class, so the product's marks vanish
-    above the lower of the two tops, and only that prefix is built and peeled.
+    The product's marks vanish above the lower of the two factors' top
+    classes, where the zip of their mark prefixes stops; a zero factor has
+    an empty prefix and the empty peel gives zero.
     """
     if a.group is not b.group:
         raise GroupMismatch("elements of different Burnside rings")
-    sa, sb = _support(a), _support(b)
-    if not (sa and sb):
-        return zero_element(a.group)
-    m = min(sa[-1][0], sb[-1][0]) + 1
-    ma, mb = _mark_prefix(a.group, sa, m), _mark_prefix(a.group, sb, m)
-    return BurnsideElement(a.group, _coeffs_from_marks(a.group, [x * y for x, y in zip(ma, mb)]))
+    mk = [x * y for x, y in zip(a.mark_prefix, b.mark_prefix)]
+    return BurnsideElement(a.group, _coeffs_from_marks(a.group, mk))
 
 
 # ---------------------------------------------------------------- text and CSV forms

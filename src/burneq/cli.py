@@ -262,13 +262,11 @@ def cmd_check(args) -> int:
     classes = subgroup_classes(group)
     failures = 0
 
+    basis = [burnside.basis_element(group, c.class_index) for c in classes]
     pairs = 0
-    for a in classes:
-        for b in classes:
-            lhs = burnside.mul(
-                burnside.basis_element(group, a.class_index),
-                burnside.basis_element(group, b.class_index),
-            )
+    for a, x in zip(classes, basis):
+        for b, y in zip(classes, basis):
+            lhs = burnside.mul(x, y)
             rhs = burnside.decompose_gset(burnside.product_gset(a, b))
             pairs += 1
             if lhs != rhs:

@@ -8,9 +8,10 @@ generator each; inverses; subgroup classes as bitmask joins of one member of
 each class with one zuppo (cyclic subgroup of prime-power order) per orbit
 of its normalizer, each class keeping that normalizer and a conjugating
 element per member, from which `weyl_data` reads any subgroup's normalizer;
-the subgroup list as the union of their members; labels; and marks counted
-from class members. A subgroup is its element bitmask, a layout no other
-module reads, so set questions are int operations.
+the subgroup list as the union of their members; labels; marks counted
+from class members, and each mark row's nonzero entries below the diagonal.
+A subgroup is its element bitmask, a layout no other module reads, so set
+questions are int operations.
 
 The class order is canonical and deterministic: ascending subgroup order,
 ties broken by the sorted element set of the lexicographically smallest
@@ -178,16 +179,27 @@ class FiniteGroup:
 
         gH is fixed by K when g^-1 K g <= H, and each conjugate of K is
         g^-1 K g for |G| / |class j| elements g; cosets have |H_i| elements.
+        Members are counted only for j <= i with |H_j| dividing |H_i|: a
+        conjugate of H_j inside H_i has an order dividing |H_i| (Lagrange),
+        and for j > i, |H_j| >= |H_i| in the canonical order, so it would be
+        H_i itself, in class i. Every other entry is 0.
         """
         classes = subgroup_classes(self)
         return tuple(
             tuple(
                 self.order * sum(k.mask | h.mask == h.mask for k in cj.members)
                 // (len(cj.members) * h.order)
-                for cj in classes
+                if j <= i and h.order % cj.representative.order == 0 else 0
+                for j, cj in enumerate(classes)
             )
-            for h in (ci.representative for ci in classes)
+            for i, h in enumerate(ci.representative for ci in classes)
         )
+
+    @cached_property
+    def mark_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per class j, the (k, marks[j][k]) pairs with k < j and a nonzero mark."""
+        return tuple(tuple((k, m) for k, m in enumerate(row[:j]) if m)
+                     for j, row in enumerate(self.marks))
 
     def __repr__(self) -> str:
         return f"<FiniteGroup order={self.order} on {self.points} points>"

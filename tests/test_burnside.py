@@ -1,8 +1,9 @@
 """Table of marks, ring arithmetic, and the orbit-decomposition oracle."""
 
+import dataclasses
 import itertools
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,7 +168,7 @@ def test_virtual_products_multiply_marks_pointwise(name, data):
     assert list(product.coeffs) == bilinear
 
 
-@pytest.mark.parametrize("name", ["S4xZ2", "A5"])
+@pytest.mark.parametrize("name", ["D8", "S4", "S4xZ2", "A5"])
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_truncated_products_match_the_full_peel(name, data):
@@ -185,6 +186,53 @@ def test_truncated_products_match_the_full_peel(name, data):
     a, b = element(), element()
     assert bq.mul(a, b) == full_peel_mul(a, b)
     assert list(bq.mark_vector(a)) == dense_marks(group, a.coeffs)
+
+
+def expected_prefix(group, coeffs):
+    """The dense mark vector cut after the top nonzero class."""
+    top = max((i for i, c in enumerate(coeffs) if c), default=-1)
+    return tuple(dense_marks(group, coeffs)[:top + 1])
+
+
+def test_each_basis_element_builds_its_mark_prefix_once(monkeypatch):
+    builds = []
+    build = burnside.BurnsideElement.mark_prefix.func
+
+    def counted(x):
+        builds.append(x.coeffs)
+        return build(x)
+
+    counting = cached_property(counted)
+    counting.__set_name__(burnside.BurnsideElement, "mark_prefix")
+    monkeypatch.setattr(burnside.BurnsideElement, "mark_prefix", counting)
+    group = make_group("S4")
+    n = len(bq.subgroup_classes(group))
+    basis = [bq.basis_element(group, i) for i in range(n)]
+    products = [bq.mul(a, b) for a in basis for b in basis]
+    assert (n, len(products)) == (11, 121)
+    assert sorted(builds) == sorted(x.coeffs for x in basis)
+
+
+@pytest.mark.parametrize("name", [*MARKS_GROUPS, "D8", "S4", "S4xZ2", "A5", "S5"])
+def test_mark_rows_are_the_nonzero_marks_below_the_diagonal(name):
+    group = make_group(name)
+    marks = group.marks
+    assert group.mark_rows == tuple(
+        tuple((k, marks[j][k]) for k in range(j) if marks[j][k] != 0) for j in range(len(marks))
+    )
+
+
+def test_a_cached_prefix_is_not_part_of_the_value():
+    group = make_group("S4")
+    x = bq.BurnsideElement(group, (3, 0, -1, 0, 2, 0, 0, 1, 0, 0, 0))
+    y = bq.BurnsideElement(group, (0, 1, 0, 0, 0, 0, 5, 0, 0, -2, 0))
+    assert x.mark_prefix == expected_prefix(group, x.coeffs)
+    fresh = bq.BurnsideElement(group, x.coeffs)
+    assert "mark_prefix" in vars(x) and "mark_prefix" not in vars(fresh)
+    assert x == fresh and hash(x) == hash(fresh)
+    assert bq.zero_element(group).mark_prefix == ()
+    for derived in (-x, x + y, 2 * x, dataclasses.replace(x, coeffs=y.coeffs)):
+        assert derived.mark_prefix == expected_prefix(group, derived.coeffs)
 
 
 ORACLE_COST_CAP = 200_000  # |G|^2 * |G/H| * |G/K|: the orbit oracle's work

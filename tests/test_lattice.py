@@ -39,7 +39,7 @@ def fixed_coset_marks(group):
     return tuple(rows)
 
 
-@pytest.mark.parametrize("name", [*MARKS_GROUPS, "D8", "S4", "S4xZ2", "A5"])
+@pytest.mark.parametrize("name", [*MARKS_GROUPS, "D8", "S4", "S4xZ2", "A5", "S5"])
 def test_marks_match_fixed_coset_count(name):
     group = make_group(name)
     assert bq.table_of_marks(group).marks == fixed_coset_marks(group)
