@@ -53,7 +53,7 @@ class BurnsideElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        expected = len(subgroup_classes(self.group))
+        expected = len(self.group.classes)
         if len(self.coeffs) != expected:
             raise ValueError(
                 f"coefficient vector has {len(self.coeffs)} entries, expected {expected}"

@@ -6,11 +6,12 @@ thickness of the normal tube, and a local map on fixed-subspace coordinates
 (an exact linear block, a coordinate expression system, or a declared
 integer index). A polystandard map is a finite list of pieces with pairwise
 disjoint orbits and tubes; its degree is the sum of local indices times the
-classes of the zero orbits. Each piece keeps the orbit of its base point,
-enumerated once when the piece is built, as integer points over one scale.
-Disjointness is checked orbit by orbit, and exactly: G acts by isometries,
-so two orbits come closest with one point at its base point, and #pieces x
-#points integer distances decide what comparing all pairs of points would.
+classes of the zero orbits. Each piece keeps the orbit of its base point as
+integer points over one scale, enumerated once: when the piece is built, or
+on a product piece's first read. Disjointness is checked orbit by orbit, and
+exactly: G acts by isometries, so two orbits come closest with one point at
+its base point, and #pieces x #points integer distances decide what comparing
+all pairs of points would.
 
 Each piece carries its local index, decided once where the piece is made:
 the declared integer, 1 at dim V^H = 0, or the sign of an exact, nonzero
@@ -31,7 +32,10 @@ diagonal orbits are enumerated from that one row. The split is group data
 G y is G/G_y, so rho(g) y is point `left_cosets(G, G_y)[g]` of its orbit,
 and every image on the block sum is an index lookup. The product is built
 directly, as `standard_piece` and `polystandard_map` validate outside input
-only; `OrbitProductRow` says what that means for its rows.
+only; `OrbitProductRow` says what that means for its rows. The degree reads
+a product piece's isotropy, index and base point only, so its orbit points
+are built on first read (`_product_orbit`), and its radii come from the
+spacings the factor maps carry (`PolystandardMap.spacing2`).
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import expr as expr_mod
 from . import linalg
@@ -56,7 +60,7 @@ from .errors import (
 )
 from .expr import Expr
 from .group import Subgroup, class_index_of, left_cosets, subgroup_classes
-from .linalg import IntOrbit, IntVector, Matrix, Vector
+from .linalg import IntOrbit, Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
     direct_sum,
@@ -100,7 +104,8 @@ LocalMapDef = Union[LinearLocalMap, ExpressionLocalMap, DeclaredLocalMap]
 class StandardPiece:
     """One zero orbit; `orbit` lists rho(g) x0 for g = 0, 1, ..., each new point
     once, as integer points over one scale. Every constructor keeps that order,
-    and `_product` reads rho(g) x0 as point `left_cosets(G, isotropy)[g]`."""
+    and `_product` reads rho(g) x0 as point `left_cosets(G, isotropy)[g]`.
+    `orbit_source` is the orbit, or the function that builds it on first read."""
 
     base_point: Vector
     isotropy: Subgroup
@@ -108,7 +113,12 @@ class StandardPiece:
     epsilon: Fraction
     local: LocalMapDef
     index: int
-    orbit: IntOrbit = field(compare=False, repr=False)
+    orbit_source: IntOrbit | Callable[[], IntOrbit] = field(compare=False, repr=False)
+
+    @cached_property
+    def orbit(self) -> IntOrbit:
+        source = self.orbit_source
+        return source() if callable(source) else source
 
     @cached_property
     def label(self) -> str:
@@ -116,10 +126,25 @@ class StandardPiece:
         return "(" + ", ".join(str(c) for c in self.base_point) + ")"
 
 
+_UNKNOWN = object()
+
+
 @dataclass(frozen=True)
 class PolystandardMap:
+    """`spacing2` is `min_orbit_spacing2` over these pieces' orbits and no
+    others'. A maker that computed it for exactly these orbits passes it as
+    `known_spacing2`, else it is computed on first read. It takes no part in
+    equality; `dataclasses.replace` keeps it, so pass it again on any new orbit."""
+
     rep: OrthogonalRepresentation
     pieces: tuple[StandardPiece, ...]
+    known_spacing2: Fraction | None | object = field(default=_UNKNOWN, compare=False, repr=False)
+
+    @cached_property
+    def spacing2(self) -> Fraction | None:
+        if self.known_spacing2 is _UNKNOWN:
+            return linalg.min_orbit_spacing2([p.orbit for p in self.pieces])
+        return self.known_spacing2
 
 
 @dataclass(frozen=True)
@@ -411,12 +436,15 @@ def existence_check(result: DegreeResult) -> bool:
 
 # ---------------------------------------------------------------- products
 
-def _rescaled(points: Sequence[IntVector], scale: int, old: int) -> Sequence[IntVector]:
-    """Integer points over `old` restated over `scale`; the caller knows the
-    results are integers."""
-    if scale == old:
-        return points
-    return [tuple(v * scale // old for v in p) for p in points]
+def _product_orbit(p: StandardPiece, q: StandardPiece, ytable: Sequence[int],
+                   moved: Sequence[int], x: Vector, denom: int) -> IntOrbit:
+    """The orbit of the product point x = (y, rho(h) z0) on the block sum:
+    rho(g) x is (point ytable[g] of p's orbit, point moved[g] of q's), each
+    new pair once in g order, over the scale that `integer_orbit` gives x."""
+    scale = denom * math.lcm(*(c.denominator for c in x))
+    ys, zs = (points if s == scale else [tuple(v * scale // s for v in pt) for pt in points]
+              for points, s in (p.orbit, q.orbit))
+    return tuple(ys[a] + zs[b] for a, b in dict.fromkeys(zip(ytable, moved))), scale
 
 
 def _product(f: PolystandardMap, g: PolystandardMap):
@@ -424,8 +452,9 @@ def _product(f: PolystandardMap, g: PolystandardMap):
 
     rho(g) x0 is point `left_cosets(G, G_x0)[g]` of a piece's orbit, and
     rho(k)(y, rho(h) z0) = (rho(k) y, rho(kh) z0), so every image on the block
-    sum is an index lookup and no matrix is applied. A piece's isotropy, orbit
-    (points and scale) and covered row are what `integer_orbit` on the sum gives.
+    sum is an index lookup and no matrix is applied. A piece's isotropy and
+    orbit are what `integer_orbit` on the sum gives; the orbit is built on
+    first read, by `_product_orbit` from the factor orbits and these lookups.
     """
     sum_rep = direct_sum(f.rep, g.rep)
     if not f.pieces or not g.pieces:
@@ -433,22 +462,20 @@ def _product(f: PolystandardMap, g: PolystandardMap):
 
     # the product needs no validation: two distinct product points differ in
     # one factor, so their squared distance is at least s, the smaller of the
-    # two factor spacings; each tube is 2 * size with size^2 <= s / 32, so
-    # (4 * size)^2 <= s / 2 < s, and the same bound gives each piece's own
-    # check, 4 * size^2 < s
-    spacings = [s for s in (linalg.min_orbit_spacing2([p.orbit for p in m.pieces])
-                            for m in (f, g)) if s is not None]
-    parent_cap = min(min(p.radius, p.epsilon) for p in (*f.pieces, *g.pieces))
-    size = parent_cap / 2
-    if spacings:
-        size = min(size, linalg.rational_sqrt_floor(min(spacings) / 32))
+    # two factor spacings, and the union of the product orbits is the product
+    # of the factor unions, so s is the product's spacing; each tube is
+    # 2 * size with size^2 <= s / 32, so (4 * size)^2 <= s / 2 < s, and the
+    # same bound gives each piece's own check, 4 * size^2 < s
+    spacing2 = min((m.spacing2 for m in (f, g) if m.spacing2 is not None), default=None)
+    size = min(min(p.radius, p.epsilon) for p in (*f.pieces, *g.pieces)) / 2
+    if spacing2 is not None:
+        size = min(size, linalg.rational_sqrt_floor(spacing2 / 32))
 
     group, denom = sum_rep.group, sum_rep.denom
     mult = group.mult_table
     tables = [left_cosets(group, q.isotropy) for q in g.pieces]
     pieces, factors = [], []
     for p in f.pieces:
-        ys, yscale = p.orbit
         ytable = left_cosets(group, p.isotropy)
         stabilizer = p.isotropy.element_set  # G_y
         for q, ztable in zip(g.pieces, tables):
@@ -463,16 +490,11 @@ def _product(f: PolystandardMap, g: PolystandardMap):
                 moved = [ztable[row[h]] for row in mult]  # k -> position of rho(k) z
                 sub = Subgroup.of(k for k in stabilizer if moved[k] == i)
                 covered.update(moved[k] for k in stabilizer)
-                scale = denom * math.lcm(*(c.denominator for c in x))
-                left_points = _rescaled(ys, scale, yscale)
-                right_points = _rescaled(zs, scale, zscale)
-                points = tuple(left_points[a] + right_points[b]
-                               for a, b in dict.fromkeys(zip(ytable, moved)))
                 index = p.index * q.index
                 pieces.append(StandardPiece(x, sub, size, size, DeclaredLocalMap(index), index,
-                                            (points, scale)))
+                                            partial(_product_orbit, p, q, ytable, moved, x, denom)))
                 factors.append((p, q))
-    return PolystandardMap(sum_rep, tuple(pieces)), tuple(factors)
+    return PolystandardMap(sum_rep, tuple(pieces), known_spacing2=spacing2), tuple(factors)
 
 
 def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:

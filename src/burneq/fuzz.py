@@ -22,20 +22,24 @@ from .degree import (
 from .group import subgroup_classes
 from .linalg import Matrix
 from .realize import RealizationTarget, realize_element
-from .representation import OrthogonalRepresentation, fixed_subspace, occupied_classes
+from .representation import OrthogonalRepresentation, occupied_classes
 
 
 def random_nonsingular_matrix(rng: random.Random, dim: int, bound: int = 3) -> Matrix:
     """A random integer matrix with nonzero exact determinant."""
-    if dim == 0:
-        return ()
+    return _nonsingular_block(rng, dim, bound)[0]
+
+
+def _nonsingular_block(rng: random.Random, dim: int, bound: int = 3) -> tuple[Matrix, Fraction]:
+    """A random nonsingular integer matrix and its determinant, one elimination per draw."""
     for _ in range(200):
         rows = tuple(
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
             for _ in range(dim)
         )
-        if linalg.det(rows) != 0:
-            return rows
+        det = linalg.det(rows)
+        if det != 0:
+            return rows, det
     raise AssertionError("could not sample a nonsingular matrix")
 
 
@@ -59,7 +63,7 @@ def random_feasible_element(rep: OrthogonalRepresentation, rng: random.Random,
 
 def _mutate_piece(rep: OrthogonalRepresentation, piece: StandardPiece,
                   rng: random.Random) -> StandardPiece:
-    d = fixed_subspace(rep, piece.isotropy).dim_fixed
+    d = rep.orbit_types.entries[rep.group.class_of[piece.isotropy.mask]].dim_fixed
     if d == 0:
         return piece
     roll = rng.random()
@@ -67,9 +71,9 @@ def _mutate_piece(rep: OrthogonalRepresentation, piece: StandardPiece,
         index = rng.choice([-3, -2, -1, 1, 2, 3])
         local = DeclaredLocalMap(index)
     elif roll < 0.65:
-        matrix = random_nonsingular_matrix(rng, d)
+        matrix, det = _nonsingular_block(rng, d)
         local = LinearLocalMap(matrix)
-        index = 1 if linalg.det(matrix) > 0 else -1
+        index = 1 if det > 0 else -1
     else:
         return piece
     # same base point, and a d x d nonsingular block or a declared index at
@@ -90,4 +94,5 @@ def random_polystandard_map(rep: OrthogonalRepresentation, rng: random.Random,
     f = realize_element(RealizationTarget(element=target, rep=rep))
     if not mutate:
         return f
-    return replace(f, pieces=tuple(_mutate_piece(rep, p, rng) for p in f.pieces))
+    pieces = tuple(_mutate_piece(rep, p, rng) for p in f.pieces)
+    return PolystandardMap(rep, pieces, known_spacing2=f.known_spacing2)  # orbits unchanged

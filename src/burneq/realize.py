@@ -94,7 +94,7 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
     return PolystandardMap(rep, tuple(
         StandardPiece(x, sub, size, size, local, sign, orb)
         for x, sub, local, sign, orb in placements
-    ))
+    ), known_spacing2=spacing2)
 
 
 __all__ = [

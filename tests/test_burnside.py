@@ -188,6 +188,15 @@ def test_truncated_products_match_the_full_peel(name, data):
     assert list(bq.mark_vector(a)) == dense_marks(group, a.coeffs)
 
 
+def test_coefficient_count_is_checked_against_the_classes(s3, monkeypatch):
+    # the count comes off the group's classes without a subgroup_classes call
+    monkeypatch.setattr(burnside, "subgroup_classes", None)
+    assert bq.BurnsideElement(s3, (1, 0, 0, 2)).coeffs == (1, 0, 0, 2)
+    for coeffs in ((1, 0, 0), (0,) * 5):
+        with pytest.raises(ValueError, match=f"has {len(coeffs)} entries, expected 4$"):
+            bq.BurnsideElement(s3, coeffs)
+
+
 def expected_prefix(group, coeffs):
     """The dense mark vector cut after the top nonzero class."""
     top = max((i for i, c in enumerate(coeffs) if c), default=-1)

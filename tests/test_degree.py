@@ -654,3 +654,81 @@ def test_one_image_pass_per_piece_and_none_per_product(name, monkeypatch):
     check = bq.verify_product(f, g)
     assert prod.pieces and check.equal
     assert calls == []
+
+
+@pytest.mark.parametrize("name", [*PRODUCT_CORPUS_REPS, "S3-regular"])
+def test_verify_product_builds_no_product_point_and_no_spacing(name, monkeypatch):
+    # the degree reads each product piece's isotropy, index and base point;
+    # the factor maps carry their spacings, so nothing is recomputed, and
+    # the product orbits are built only when a caller reads them
+    rep = make_rep(name)
+    rng = random.Random(f"lazy {name}")
+    f = fuzz.random_polystandard_map(rep, rng)
+    g = fuzz.random_polystandard_map(rep, rng)
+    spacings, built = [], []
+    min_orbit_spacing2, product_orbit = la.min_orbit_spacing2, degree._product_orbit
+    monkeypatch.setattr(la, "min_orbit_spacing2",
+                        lambda orbits: spacings.append(orbits) or min_orbit_spacing2(orbits))
+    monkeypatch.setattr(degree, "_product_orbit",
+                        lambda *args: built.append(args) or product_orbit(*args))
+    check = bq.verify_product(f, g)
+    assert check.equal and check.orbit_rows
+    assert spacings == [] and built == []
+    prod = bq.product_map(f, g)
+    assert [p.orbit for p in prod.pieces] == [p.orbit for p in prod.pieces]  # read twice
+    assert len(built) == len(prod.pieces)  # built once each
+    assert spacings == []
+
+
+@pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
+def test_each_map_carries_its_own_orbit_spacing(name, monkeypatch):
+    # realize_element, fuzz (mutated or not) and _product each hand the map
+    # the spacing of its own pieces' orbits, so reading it computes nothing;
+    # a map from polystandard_map computes it once, on first read; the
+    # product's is the smaller factor's
+    rep = make_rep(name)
+    rng = random.Random(f"spacing {name}")
+    calls = []
+    min_orbit_spacing2 = la.min_orbit_spacing2
+    spy = lambda orbits: calls.append(orbits) or min_orbit_spacing2(orbits)
+    unequal = 0
+    for _ in range(4):
+        target = fuzz.random_feasible_element(rep, rng)
+        realized = bq.realize_element(bq.RealizationTarget(element=target, rep=rep))
+        f = fuzz.random_polystandard_map(rep, rng, mutate=False)
+        g = fuzz.random_polystandard_map(rep, rng)
+        rebuilt = bq.polystandard_map(rep, g.pieces)
+        maps = [realized, f, g, bq.product_map(f, g), bq.product_map(g, realized)]
+        monkeypatch.setattr(la, "min_orbit_spacing2", spy)
+        carried = [m.spacing2 for m in maps]
+        assert calls == []
+        assert rebuilt.spacing2 == rebuilt.spacing2 == g.spacing2  # computed once
+        assert len(calls) == 1
+        monkeypatch.undo()
+        calls.clear()
+        for m, s in zip(maps, carried):
+            assert s == la.min_orbit_spacing2([p.orbit for p in m.pieces])
+        unequal += f.spacing2 != g.spacing2
+    assert unequal > 0
+
+
+@pytest.mark.parametrize("name", [*PRODUCT_CORPUS_REPS, "S3-regular"])
+def test_fuzz_eliminates_each_sampled_block_once(name, monkeypatch):
+    # the sampler hands back the determinant it computed, so the mutation
+    # reads the sign off it; every matrix that reaches linalg.det is a new
+    # draw, and every block the mutation keeps was eliminated exactly once
+    rep = make_rep(name)
+    calls = []
+    det = la.det
+    kept = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        f = fuzz.random_polystandard_map(rep, rng, mutate=False)
+        monkeypatch.setattr(la, "det", lambda matrix: calls.append(matrix) or det(matrix))
+        mutated = [fuzz._mutate_piece(rep, p, rng) for p in f.pieces]
+        monkeypatch.undo()
+        for before, after in zip(f.pieces, mutated):
+            if after.local != before.local and isinstance(after.local, LinearLocalMap):
+                assert sum(m is after.local.matrix for m in calls) == 1
+                kept += 1
+    assert len({id(m) for m in calls}) == len(calls) >= kept > 0

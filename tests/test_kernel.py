@@ -265,6 +265,25 @@ def test_product_pieces_match_all_rows_enumeration(left, right):
             assert integer_orbit(prod.rep, p.base_point) == (p.isotropy, p.orbit)
 
 
+@pytest.mark.parametrize("left,middle,right", [("Z2-sign", "Z2-reflection", "Z2-sign"),
+                                               ("S3-perm", "S3-rotated", "S3-perm"),
+                                               ("D4-rotated", "D4-standard", "D4-standard")])
+def test_product_with_a_product_factor_matches_all_rows_enumeration(left, middle, right):
+    # the left factor is itself a product map, whose orbits are built only
+    # when read, over a scale that differs from the right factor's
+    rng = random.Random(f"nested {left} {middle} {right}")
+    for _ in range(2):
+        f = bq.product_map(fuzz.random_polystandard_map(kernel_rep(left), rng),
+                           fuzz.random_polystandard_map(kernel_rep(middle), rng))
+        g = fuzz.random_polystandard_map(kernel_rep(right), rng)
+        prod = bq.product_map(f, g)
+        assert prod.pieces
+        assert [p.base_point for p in prod.pieces] == all_rows_base_points(f, g)
+        for p in prod.pieces:
+            assert integer_orbit(prod.rep, p.base_point) == (p.isotropy, p.orbit)
+        assert bq.verify_product(f, g).equal
+
+
 def image_positions(rep, piece):
     """The position of rho(g) x0 in the piece's orbit for each g, from one image pass."""
     s = math.lcm(*(c.denominator for c in piece.base_point))
