@@ -13,15 +13,22 @@ from class members, and each mark row's nonzero entries below the diagonal.
 A subgroup is its element bitmask, a layout no other module reads, so set
 questions are int operations.
 
+Every closure is one routine, `_join`: Dimino's coset-wise closure of
+<H, gens> from H's known elements (Butler, Fundamental Algorithms for
+Permutation Groups, LNCS 559, 1991).
+
 The class order is canonical and deterministic: ascending subgroup order,
 ties broken by the sorted element set of the lexicographically smallest
-class member. Coefficient vectors of Burnside elements index into it.
+class member. Coefficient vectors of Burnside elements index into it. Masks
+of one bit count are put in that order by `_lex_key`, the bit-reversed
+mask, with no element scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 from typing import Sequence
 
 from .errors import EmptyGeneratorList, GroupMismatch, NotASubgroup, OrderCapExceeded
@@ -102,8 +109,9 @@ class FiniteGroup:
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
         """The members of all classes, sorted by (order, element_set)."""
+        key = _lex_key(self.order)
         return tuple(sorted((m for c in subgroup_classes(self) for m in c.members),
-                            key=lambda s: (s.order, s.element_set)))
+                            key=lambda s: (s.order, key(s.mask))))
 
     @cached_property
     def classes(self) -> tuple[SubgroupClass, ...]:
@@ -117,42 +125,46 @@ class FiniteGroup:
         it reach every class, perfect subgroups too (joins by normalizing
         elements only would miss A5 in S5). For n in N(R), <R, z^n> =
         <R, z>^n lies in the same class, so one zuppo per N(R)-orbit
-        suffices; this is Neubüser's cyclic extension. A join not seen before
-        is a new class. One conjugation pass over G lists its members, one
-        conjugating element for each, and its normalizer. Classes are sorted
-        by order, then by the element set of their smallest member, which is
-        the representative.
+        suffices; this is Neubüser's cyclic extension. Each join <R, z>
+        starts from the elements of R found by its own join, coset by coset
+        (`_join`). A join not seen before is a new class. One conjugation
+        pass over G lists its members, one conjugating element for each, and
+        its normalizer. Classes are sorted by order, then by the element set
+        of their smallest member, which is the representative; both sorts
+        compare masks of one bit count by `_lex_key`, with no element scan.
         """
-        mult, inv = self.mult_table, self.inverse
-        cyclic = [_generate(mult, (g,)) for g in range(self.order)]
+        mult, inv, key = self.mult_table, self.inverse, _lex_key(self.order)
+        cyclic = [_join(mult, [0], 1, (g,))[0] for g in range(self.order)]
         zuppos: dict[int, int] = {}  # mask -> smallest generator
         for g, c in enumerate(cyclic):
             if _is_prime_power(c.bit_count()):
                 zuppos.setdefault(c, g)
-        # per class: the join found, its generators, its normalizer, member mask -> x with x k x^-1
-        found: list[tuple[int, tuple[int, ...], Sequence[int], dict[int, int]]] = [
-            (1, (), range(self.order), {1: 0})]
+        # per class: the join found, its elements, its generators, its
+        # normalizer, member mask -> x with x k x^-1
+        found: list[tuple[int, list[int], tuple[int, ...], Sequence[int], dict[int, int]]] = [
+            (1, [0], (), range(self.order), {1: 0})]
         seen = {1}
-        for h, gens, normalizer, _ in found:
+        for h, elements, gens, normalizer, _ in found:
             joined: set[int] = set()  # the zuppos in the N(h)-orbits joined so far
             for c, g in zuppos.items():
                 if c & ~h and c not in joined:
                     joined.update(cyclic[mult[mult[n][g]][inv[n]]] for n in normalizer)
-                    k = _generate(mult, gens + (g,))
+                    k_gens = gens + (g,)
+                    k, k_elements = _join(mult, elements, h, k_gens)
                     if k not in seen:
-                        normalizer_k, conjugators = _conjugation_pass(mult, inv, k)
+                        normalizer_k, conjugators = _conjugation_pass(mult, inv, k, k_elements)
                         seen.update(conjugators)
-                        found.append((k, gens + (g,), normalizer_k, conjugators))
+                        found.append((k, k_elements, k_gens, normalizer_k, conjugators))
         classes = []
-        for _, _, normalizer, conjugators in found:
+        for _, _, _, normalizer, conjugators in found:
             # re-based on the representative r = y k y^-1: N(r) = y N(k) y^-1,
             # and m = x k x^-1 = (x y^-1) r (x y^-1)^-1
-            members = sorted(conjugators, key=_elements)
+            members = sorted(conjugators, key=key)
             y = conjugators[members[0]]
             row, yi = mult[y], inv[y]
             classes.append((members, Subgroup(sum(1 << mult[row[n]][yi] for n in normalizer)),
                             {m: mult[x][yi] for m, x in conjugators.items()}))
-        classes.sort(key=lambda c: (c[0][0].bit_count(), _elements(c[0][0])))
+        classes.sort(key=lambda c: (c[0][0].bit_count(), key(c[0][0])))
         return tuple(SubgroupClass(self, Subgroup(members[0]), tuple(map(Subgroup, members)), i,
                                    normalizer, conjugators)
                      for i, (members, normalizer, conjugators) in enumerate(classes))
@@ -182,17 +194,19 @@ class FiniteGroup:
         Members are counted only for j <= i with |H_j| dividing |H_i|: a
         conjugate of H_j inside H_i has an order dividing |H_i| (Lagrange),
         and for j > i, |H_j| >= |H_i| in the canonical order, so it would be
-        H_i itself, in class i. Every other entry is 0.
+        H_i itself, in class i. Every other entry is 0, and is not evaluated.
         """
         classes = subgroup_classes(self)
+        orders = [c.representative.order for c in classes]
+        members = [[m.mask for m in c.members] for c in classes]
+        n = len(classes)
         return tuple(
             tuple(
-                self.order * sum(k.mask | h.mask == h.mask for k in cj.members)
-                // (len(cj.members) * h.order)
-                if j <= i and h.order % cj.representative.order == 0 else 0
-                for j, cj in enumerate(classes)
-            )
-            for i, h in enumerate(ci.representative for ci in classes)
+                self.order * sum(k | h == h for k in members[j]) // (len(members[j]) * orders[i])
+                if orders[i] % orders[j] == 0 else 0
+                for j in range(i + 1)
+            ) + (0,) * (n - 1 - i)
+            for i, h in enumerate(m[0] for m in members)
         )
 
     @cached_property
@@ -263,30 +277,62 @@ class WeylData:
     weyl_coset_reps: tuple[int, ...]
 
 
-def _generate(mult, gens) -> int:
-    """Bitmask of the subgroup generated by gens, whose elements are words 1*g1*...*gk."""
-    mask, found = 1, [0]
-    for a in found:
-        row = mult[a]
+def _join(mult, elements: Sequence[int], mask: int, gens) -> tuple[int, list[int]]:
+    """Mask and elements of <H, gens>, for a subgroup H given by its elements and mask.
+
+    gens must generate a group containing H, as H's generators with new
+    ones do. The join is a union of right cosets H r, and H r g = H (r g),
+    so one representative per coset is multiplied by the generators, and a
+    new coset H x enters whole as {h x : h in H} (Dimino's method). The
+    elements come coset by coset, H's first; with H = 1 they are the words
+    1*g1*...*gk in breadth-first order.
+    """
+    rows = [mult[h] for h in elements]
+    elements = list(elements)
+    reps = [0]
+    for r in reps:
+        row = mult[r]
         for g in gens:
-            c = row[g]
-            if not mask >> c & 1:
-                mask |= 1 << c
-                found.append(c)
-    return mask
+            x = row[g]
+            if not mask >> x & 1:
+                coset = [h[x] for h in rows]
+                for c in coset:
+                    mask |= 1 << c
+                elements += coset
+                reps.append(x)
+    return mask, elements
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _elements(mask: int) -> tuple[int, ...]:
-    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")  # bit 0 first
+    """The set bits of mask, ascending."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
-def _conjugation_pass(mult, inv, k: int) -> tuple[list[int], dict[int, int]]:
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _lex_key(bits: int):
+    """Sort key of masks below 2^bits, of one bit count, in element-tuple order.
+
+    The tuples first differ at the lowest set bit of a ^ b, and the mask
+    holding it comes first. Reversed over a fixed width, that bit is the
+    highest difference, so the key is the negated bit-reversed mask.
+    """
+    width = (bits + 7) // 8
+    return lambda mask: -int.from_bytes(
+        mask.to_bytes(width, "little").translate(_REVERSED_BYTES), "big")
+
+
+def _conjugation_pass(mult, inv, k: int, elems: Sequence[int]) -> tuple[list[int], dict[int, int]]:
     """The normalizer of k, and its conjugates x k x^-1 mapped to their least x.
 
     Every element of the left coset x k conjugates k as x does, so one
-    conjugation per coset, by its least element, covers G.
+    conjugation per coset, by its least element, covers G. elems are k's
+    elements, in any order.
     """
-    elems = _elements(k)
     normalizer: list[int] = []
     conjugators: dict[int, int] = {}
     covered = bytearray(len(mult))
@@ -315,10 +361,13 @@ def _is_prime_power(n: int) -> bool:
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     """The subgroup generated by the given element indices."""
-    return Subgroup(_generate(group.mult_table, tuple(elements)))
+    return Subgroup(_join(group.mult_table, [0], 1, tuple(elements))[0])
 
 
 def conjugate_subgroup(group: FiniteGroup, subgroup: Subgroup, g: int) -> Subgroup:
+    """g H g^-1; the identity, the conjugator of every class representative, returns H."""
+    if g == 0:
+        return subgroup
     mult, gi = group.mult_table, group.inverse[g]
     return Subgroup(sum(1 << mult[mult[g][h]][gi] for h in subgroup.element_set))
 
@@ -406,11 +455,13 @@ def _cycle_string(perm: Perm) -> str:
 
 
 def _minimal_generators(group: FiniteGroup, subgroup: Subgroup) -> list[int]:
+    """Greedy generators: the least element outside the join so far, joined on."""
     gens: list[int] = []
-    have = 1
-    while have.bit_count() < subgroup.order:
-        gens.append(min(x for x in subgroup.element_set if not have >> x & 1))
-        have = _generate(group.mult_table, gens)
+    have, elements = 1, [0]
+    while have != subgroup.mask:
+        rest = subgroup.mask & ~have
+        gens.append((rest & -rest).bit_length() - 1)
+        have, elements = _join(group.mult_table, elements, have, gens)
     return gens
 
 

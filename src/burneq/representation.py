@@ -50,7 +50,6 @@ from .errors import (
 from .group import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
     class_index_of,
     class_labels,
     class_leq,
@@ -508,7 +507,8 @@ def _witness_orbits(rep: OrthogonalRepresentation, subgroup: Subgroup,
              for b in fs.basis]
     picks: list[tuple[Vector, IntOrbit]] = []
     taken: set[IntVector] = set()
-    for t in range(1, d * (len(all_subgroups(group)) + count * group.order) + 1):
+    subgroups = sum(len(c.members) for c in subgroup_classes(group))
+    for t in range(1, d * (subgroups + count * group.order) + 1):
         point = [0] * n
         for k, b in enumerate(basis):
             p = t ** (k + 1)

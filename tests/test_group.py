@@ -3,9 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burneq as bq
 from burneq.errors import EmptyGeneratorList, NotASubgroup, OrderCapExceeded
+from burneq.group import _elements, _lex_key
 from groupdata import (
     EXPECTED_ORDER,
     MARKS_GROUPS,
@@ -265,6 +267,22 @@ def test_subgroup_identity_ignores_element_order():
     assert 2 in a and 3 not in a
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_lex_key_sorts_equal_size_masks_as_element_tuples(data):
+    """Masks of one bit count, each a swap of one set bit with one clear bit
+    of an earlier one, so that many share long low prefixes; up to 2000 bits."""
+    bits = data.draw(st.integers(1, 2000), label="bits")
+    masks = [data.draw(st.integers(0, (1 << bits) - 1), label="base")]
+    for _ in range(data.draw(st.integers(1, 12), label="variants")):
+        m = data.draw(st.sampled_from(masks))
+        ones, zeros = _elements(m), _elements(~m & ((1 << bits) - 1))
+        if ones and zeros:
+            masks.append(m ^ 1 << data.draw(st.sampled_from(ones)) ^ 1 << data.draw(st.sampled_from(zeros)))
+    masks = list(dict.fromkeys(masks))
+    assert sorted(masks, key=_lex_key(bits)) == sorted(masks, key=_elements)
+
+
 @pytest.mark.parametrize("name", MARKS_GROUPS)
 def test_weyl_invariants(name):
     group = make_group(name)
@@ -286,6 +304,20 @@ def test_weyl_data_matches_the_scan_on_every_subgroup(name):
     group = make_group(name)
     for sub in bq.all_subgroups(group):
         assert bq.weyl_data(group, sub) == scan_weyl_data(group, sub)
+
+
+@pytest.mark.parametrize("name", ["S4xZ2", "S5"])
+def test_weyl_data_of_non_representative_members_matches_the_scan(name):
+    """A representative's conjugator is the identity, which conjugates its
+    normalizer to itself; every other member's normalizer is conjugated over
+    by a nonidentity element, and must still match the scan."""
+    group = make_group(name)
+    for cls in bq.subgroup_classes(group):
+        assert cls.conjugators[cls.representative.mask] == 0
+        assert bq.group.conjugate_subgroup(group, cls.normalizer, 0) is cls.normalizer
+        for member in cls.members[1:]:
+            assert cls.conjugators[member.mask] != 0
+            assert bq.weyl_data(group, member) == scan_weyl_data(group, member)
 
 
 # ---------------------------------------------------------------- labels

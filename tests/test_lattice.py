@@ -148,16 +148,39 @@ def test_classes_join_each_representative_once_per_cyclic_subgroup(name, monkeyp
     """At most |G| closures for the cyclic subgroups, then at most one join
     per class and N(R)-orbit of zuppos (cyclic subgroups of prime-power
     order) outside its representative R. Joining every subgroup with every
-    cyclic subgroup instead takes 2851 closures on S4xZ2 and 9681 on S5."""
+    cyclic subgroup instead takes 2851 closures on S4xZ2 and 9681 on S5.
+    Every closure goes through `_join`, so the spy counts them all; more
+    than |G| calls shows that it sees the joins, not only the cyclic ones."""
     group = bq.generate_group(LARGER_GROUPS[name])
     walks = []
-    generate = group_module._generate
-    monkeypatch.setattr(group_module, "_generate",
-                        lambda mult, gens: walks.append(gens) or generate(mult, gens))
+    join = group_module._join
+    monkeypatch.setattr(group_module, "_join", lambda mult, elements, mask, gens:
+                        walks.append(gens) or join(mult, elements, mask, gens))
     classes = bq.subgroup_classes(group)
     monkeypatch.undo()
     orbits = sum(len(zuppo_orbits_outside(group, c.representative)) for c in classes)
-    assert len(walks) <= group.order + orbits
+    assert group.order < len(walks) <= group.order + orbits
+
+
+@pytest.mark.parametrize("name", [*GROUP_GENERATORS, "S4xZ2", "S5"])
+def test_join_from_a_subgroup_matches_brute_closure(name):
+    """<H, gens> closed coset-wise from H's elements equals the brute closure,
+    each element listed once and H's first; every third draw takes its new
+    generators inside H, where the join is H itself."""
+    group = make_group(name)
+    rng = random.Random(f"join:{name}")
+    for trial in range(30):
+        h_gens = tuple(rng.sample(range(group.order), rng.randint(0, 2)))
+        h = bq.subgroup_from_elements(group, h_gens)
+        pool = h.element_set if trial % 3 == 0 else range(group.order)
+        gens = h_gens + tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+        mask, elements = group_module._join(group.mult_table, list(h.element_set), h.mask, gens)
+        expected = brute_closure(group, gens)
+        assert tuple(sorted(elements)) == expected
+        assert mask == bq.Subgroup.of(expected).mask
+        assert elements[:h.order] == list(h.element_set)
+        if trial % 3 == 0:
+            assert mask == h.mask
 
 
 def test_s6_lattice_sizes_and_its_perfect_subgroup_a6():
