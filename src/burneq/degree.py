@@ -329,24 +329,38 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
 def _krawczyk_decides(trees: Sequence[expr_mod.Node], center: Sequence[Fraction],
                       radii: Sequence[Fraction]) -> bool:
     """Whether the box |v - center| <= radii is empty or unique for the
-    trees G, with G'(0) = I; raises DivisionByZero as `interval_jet` does."""
+    trees G, with G'(0) = I; raises DivisionByZero as `interval_jet` does.
+    The box is cleared to integers over one denominator D, and each test
+    below is an integer comparison scaled by positive denominators."""
+    box = expr_mod.clear_box(center, radii)
+    cs, ws, den = box
     grads = []
     for t in trees:
-        (lo, hi), grad = expr_mod.interval_jet(t, center, radii)
+        (lo, hi, _), grad = expr_mod.integer_interval_jet(t, box)
         if lo > 0 or hi < 0:
             return True  # empty: 0 is outside G(X)
         grads.append(grad)
-    # row i of (I - G'(X))(X - c) is [-spread_i, spread_i]
-    spread = [sum(max(hi - (i == k), (i == k) - lo) * w
-                  for k, ((lo, hi), w) in enumerate(zip(grad, radii)))
-              for i, grad in enumerate(grads)]
-    if not any(center):  # x0 is never on an edge, so X holds x0 iff c = 0
+    # row i of (I - G'(X))(X - c) is [-spread_i, spread_i], spread_i = n_i / (m_i D)
+    spread = []
+    for i, grad in enumerate(grads):
+        n, m = 0, 1
+        for k, ((lo, hi, e), w) in enumerate(zip(grad, ws)):
+            x = max(hi - e, e - lo) if i == k else max(hi, -lo)
+            if e == m:
+                n += x * w
+            else:
+                n, m = n * e + x * w * m, m * e
+        spread.append((n, m))
+    if not any(cs):  # x0 is never on an edge, so X holds x0 iff c = 0
         # unique: K(X) = x0 + [-spread, spread] lies inside X
-        return all(s < w for s, w in zip(spread, radii))
+        return all(n < w * m for (n, m), w in zip(spread, ws))
     # empty: K(X) = c - G(c) + [-spread, spread] misses X
-    origin = (0,) * len(center)
-    return any(abs(expr_mod.interval_jet(t, center, origin)[0][0]) > s + w
-               for t, s, w in zip(trees, spread, radii))
+    at_center = (cs, (0,) * len(cs), den)
+    for t, (n, m), w in zip(trees, spread, ws):
+        (g, _, e), _ = expr_mod.integer_interval_jet(t, at_center)
+        if abs(g) * m * den > (n + w * m) * e:
+            return True
+    return False
 
 
 def polystandard_map(rep: OrthogonalRepresentation, pieces) -> PolystandardMap:

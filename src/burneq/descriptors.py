@@ -37,9 +37,17 @@ from .representation import OrthogonalRepresentation, build_representation
 
 
 def _fraction(value, where: str) -> Fraction:
+    """A rational from a JSON integer or string. An ASCII "-?digits" or
+    "-?digits/digits" is read with int; any other string goes through
+    Fraction's own parser, which accepts the same values and more spellings."""
     try:
         if isinstance(value, bool):
             raise ValueError(value)
+        if isinstance(value, str) and value.isascii():
+            num, slash, den = value.removeprefix("-").partition("/")
+            if num.isdigit() and (den.isdigit() or not slash):
+                n = -int(num) if value[0] == "-" else int(num)
+                return Fraction(n, int(den)) if slash else Fraction(n)
         if isinstance(value, (int, str)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from sys import float_info
 from typing import Sequence, Union
@@ -68,9 +69,20 @@ class Affine:
     const: Fraction
     coeffs: tuple[Fraction, ...]
 
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, int, int], ...]]:
+        """(C, A, q, gradient): const = C / q and coeffs = A / q over their
+        lcm q, and the gradient intervals (a, a, q), cleared on first use."""
+        q = math.lcm(self.const.denominator, *(a.denominator for a in self.coeffs))
+        coeffs = tuple(a.numerator * (q // a.denominator) for a in self.coeffs)
+        return (self.const.numerator * (q // self.const.denominator), coeffs, q,
+                tuple((a, a, q) for a in coeffs))
+
 
 Node = Union[Num, Var, Neg, BinOp, Pow, Affine]
 Interval = tuple[Fraction, Fraction]  # (lo, hi), exact endpoints
+IntInterval = tuple[int, int, int]  # (lo, hi, den): [lo / den, hi / den], den > 0
+Box = tuple[Sequence[int], Sequence[int], int]  # centre and radii, integers over one den
 
 
 @dataclass(frozen=True)
@@ -336,7 +348,9 @@ def restrict(e: Expr, point: Sequence[Fraction],
             if n == 0 and isinstance(a, Affine):
                 return Affine(Fraction(1), zero)
             if constant(a):
-                return Affine(_ipow((a.const, a.const), n)[0], zero)
+                c = a.const
+                power, _, den = _ipow((c.numerator, c.numerator, c.denominator), n)
+                return Affine(Fraction(power, den), zero)
             return Pow(a, n)  # n = 0 too: x^0 = 1 only where the base is defined
         a, b = fold(node.left), fold(node.right)
         if isinstance(a, Affine) and isinstance(b, Affine):
@@ -353,21 +367,101 @@ def restrict(e: Expr, point: Sequence[Fraction],
     return fold(e.root)
 
 
-def _imul(a: Interval, b: Interval) -> Interval:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
+def _ipow(v: IntInterval, n: int) -> IntInterval:
+    """The exact range of x^n over v, for n >= 1, within EXACT_POWER_BITS.
 
-
-def _ipow(v: Interval, n: int) -> Interval:
-    """The exact range of x^n over v, for n >= 1, within EXACT_POWER_BITS."""
-    lo, hi = v
-    if any(x and n * (x.numerator.bit_length() + x.denominator.bit_length()) > EXACT_POWER_BITS
-           for x in v):
-        raise OverflowError("a power too large to evaluate exactly")
-    a, b = lo ** n, hi ** n
+    The bound is on each nonzero endpoint in lowest terms. Unreduced sizes
+    bound those from above, so an endpoint is reduced only when its
+    unreduced size is over the bound."""
+    lo, hi, den = v
+    if n * (max(lo.bit_length(), hi.bit_length()) + den.bit_length()) > EXACT_POWER_BITS:
+        for x in (lo, hi):
+            g = math.gcd(x, den)
+            if x and n * ((x // g).bit_length() + (den // g).bit_length()) > EXACT_POWER_BITS:
+                raise OverflowError("a power too large to evaluate exactly")
+        g = math.gcd(lo, hi, den)
+        lo, hi, den = lo // g, hi // g, den // g
+    a, b, den = lo ** n, hi ** n, den ** n
     if n % 2 or lo >= 0:
-        return a, b
-    return (b, a) if hi <= 0 else (0, max(a, b))
+        return a, b, den
+    return (b, a, den) if hi <= 0 else (0, max(a, b), den)
+
+
+def _imul(a: IntInterval, b: IntInterval) -> IntInterval:
+    a0, a1, ad = a
+    b0, b1, bd = b
+    if a0 == a1:
+        x, y = a0 * b0, a0 * b1
+        return (x, y, ad * bd) if x <= y else (y, x, ad * bd)
+    products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    return min(products), max(products), ad * bd
+
+
+def _iadd(a: IntInterval, b: IntInterval) -> IntInterval:
+    a0, a1, ad = a
+    b0, b1, bd = b
+    if ad == bd:
+        return a0 + b0, a1 + b1, ad
+    return a0 * bd + b0 * ad, a1 * bd + b1 * ad, ad * bd
+
+
+def _isub(a: IntInterval, b: IntInterval) -> IntInterval:
+    a0, a1, ad = a
+    b0, b1, bd = b
+    if ad == bd:
+        return a0 - b1, a1 - b0, ad
+    return a0 * bd - b1 * ad, a1 * bd - b0 * ad, ad * bd
+
+
+def clear_box(center: Sequence[Fraction], radii: Sequence[Fraction]) -> Box:
+    """The box |u_k - center_k| <= radii_k as integers over the lcm of its
+    denominators."""
+    den = math.lcm(*(x.denominator for x in center), *(x.denominator for x in radii))
+    return ([x.numerator * (den // x.denominator) for x in center],
+            [x.numerator * (den // x.denominator) for x in radii], den)
+
+
+def integer_interval_jet(node: Node, box: Box) -> tuple[IntInterval, list[IntInterval]]:
+    """`interval_jet` over a cleared box, with integer intervals over one
+    positive denominator each: no gcd and no Fraction inside the pass."""
+    center, radii, den = box
+
+    def ev(node: Node) -> tuple[IntInterval, Sequence[IntInterval]]:
+        if isinstance(node, Affine):
+            const, coeffs, q, grad = node.cleared
+            mid, rad = const * den, 0
+            for a, c, r in zip(coeffs, center, radii):
+                if a:
+                    mid += a * c
+                    rad += abs(a) * r
+            return (mid - rad, mid + rad, q * den), grad
+        if isinstance(node, Neg):
+            (lo, hi, d), grad = ev(node.operand)
+            return (-hi, -lo, d), [(-h, -g, e) for g, h, e in grad]
+        if isinstance(node, Pow):
+            (v, dv), n = ev(node.base), node.exponent
+            if n == 0:
+                return (1, 1, 1), [(0, 0, 1)] * len(dv)
+            p0, p1, pd = _ipow(v, n - 1)
+            p = (n * p0, n * p1, pd)
+            return _ipow(v, n), [_imul(p, g) for g in dv]
+        (a, da), (b, db) = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return _iadd(a, b), list(map(_iadd, da, db))
+        if node.op == "-":
+            return _isub(a, b), list(map(_isub, da, db))
+        if node.op == "*":
+            return _imul(a, b), [_iadd(_imul(x, b), _imul(a, y)) for x, y in zip(da, db)]
+        b0, b1, bd = b
+        if b0 <= 0 <= b1:
+            raise DivisionByZero("a divisor's enclosure contains zero")
+        inv = (bd * b0, bd * b1, b0 * b1)  # [1 / b1, 1 / b0]; b0 b1 > 0
+        q = _imul(a, inv)
+        # d(a/b) = (da - (a/b) db) / b
+        return q, [_imul(_isub(x, _imul(q, y)), inv) for x, y in zip(da, db)]
+
+    value, grad = ev(node)
+    return value, list(grad)
 
 
 def interval_jet(node: Node, center: Sequence[Fraction],
@@ -375,52 +469,13 @@ def interval_jet(node: Node, center: Sequence[Fraction],
     """Exact enclosures of the value and the gradient in u of a `restrict`ed
     tree over the box |u_k - center_k| <= radii_k, in one pass.
 
-    Interval arithmetic over Fraction endpoints (Moore, Interval Analysis,
-    1966): every value the tree takes on the box lies in the value
-    interval, and every partial derivative in its gradient interval. Raises
-    DivisionByZero when a divisor's enclosure contains 0, and OverflowError
-    on a power beyond EXACT_POWER_BITS.
+    Interval arithmetic (Moore, Interval Analysis, 1966) on integer
+    endpoints over one denominator per interval (`integer_interval_jet`),
+    returned as Fraction endpoints: every value the tree takes on the box
+    lies in the value interval, and every partial derivative in its
+    gradient interval. Raises DivisionByZero when a divisor's enclosure
+    contains 0, and OverflowError on a power beyond EXACT_POWER_BITS.
     """
-    def ev(node: Node) -> tuple[Interval, list[Interval]]:
-        if isinstance(node, Affine):
-            mid, rad = node.const, 0
-            for a, c, r in zip(node.coeffs, center, radii):
-                if a:
-                    mid += a * c
-                    rad += abs(a) * r
-            return (mid - rad, mid + rad), [(a, a) for a in node.coeffs]
-        if isinstance(node, Neg):
-            (lo, hi), grad = ev(node.operand)
-            return (-hi, -lo), [(-h, -g) for g, h in grad]
-        if isinstance(node, Pow):
-            (v, dv), n = ev(node.base), node.exponent
-            if n == 0:
-                return (1, 1), [(0, 0)] * len(dv)
-            p = _ipow(v, n - 1)
-            return _ipow(v, n), [_imul((n * p[0], n * p[1]), g) for g in dv]
-        (a, da), (b, db) = ev(node.left), ev(node.right)
-        if node.op == "+":
-            return ((a[0] + b[0], a[1] + b[1]),
-                    [(x[0] + y[0], x[1] + y[1]) for x, y in zip(da, db)])
-        if node.op == "-":
-            return ((a[0] - b[1], a[1] - b[0]),
-                    [(x[0] - y[1], x[1] - y[0]) for x, y in zip(da, db)])
-        if node.op == "*":
-            grad = []
-            for x, y in zip(da, db):
-                s, t = _imul(x, b), _imul(a, y)
-                grad.append((s[0] + t[0], s[1] + t[1]))
-            return _imul(a, b), grad
-        if b[0] <= 0 <= b[1]:
-            raise DivisionByZero("a divisor's enclosure contains zero")
-        inv = (Fraction(1) / b[1], Fraction(1) / b[0])
-        q = _imul(a, inv)
-        # d(a/b) = (da - (a/b) db) / b
-        grad = []
-        for x, y in zip(da, db):
-            t = _imul(q, y)
-            grad.append(_imul((x[0] - t[1], x[1] - t[0]), inv))
-        return q, grad
-
-    return ev(node)
-
+    (lo, hi, den), grad = integer_interval_jet(node, clear_box(center, radii))
+    return ((Fraction(lo, den), Fraction(hi, den)),
+            [(Fraction(g, e), Fraction(h, e)) for g, h, e in grad])

@@ -34,6 +34,7 @@ from typing import Sequence
 from .errors import EmptyGeneratorList, GroupMismatch, NotASubgroup, OrderCapExceeded
 
 DEFAULT_ORDER_CAP = 2000
+_ROW_BLOCK = 128  # rows of mult_table filled per block of columns
 
 Perm = tuple[int, ...]
 
@@ -93,14 +94,19 @@ class FiniteGroup:
         Element b is its parent p composed with generator g, so a*b = (a*p)*g:
         column b is column p stepped by g, a lookup in the table of right
         multiplications by the generators, which takes |G|·k compositions.
+        The columns are built for _ROW_BLOCK rows at a time and transposed
+        into rows, so only one block's columns are held beside the rows.
         """
         elems = self.element_perms
         index = {p: i for i, p in enumerate(elems)}
         steps = [tuple(index[compose(e, g)] for e in elems) for g in self.generator_perms]
-        columns: list[Sequence[int]] = [range(self.order)]
-        for parent, gi in self.construction[1:]:
-            columns.append(tuple(map(steps[gi].__getitem__, columns[parent])))
-        return tuple(zip(*columns))
+        rows: list[tuple[int, ...]] = []
+        for start in range(0, self.order, _ROW_BLOCK):
+            columns: list[Sequence[int]] = [range(self.order)[start:start + _ROW_BLOCK]]
+            for parent, gi in self.construction[1:]:
+                columns.append(tuple(map(steps[gi].__getitem__, columns[parent])))
+            rows.extend(zip(*columns))
+        return tuple(rows)
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:

@@ -21,7 +21,8 @@ IntOrbit = tuple[tuple[IntVector, ...], int]
 
 
 def vec(items: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in items)
+    """A vector of Fractions; an entry that is already a Fraction is kept as is."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in items)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:

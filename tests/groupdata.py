@@ -1,6 +1,7 @@
 """Shared catalog of small test groups and representations, and oracles:
 the Fraction elimination (reduced row echelon form, kernel, determinant)
-for the fraction-free `linalg`; the multiplication table by composing every
+for the fraction-free `linalg`; the interval jet over Fraction endpoints
+for the integer interval kernel of `expr`; the multiplication table by composing every
 pair of permutations; the Weyl data by scanning G for elements normalizing
 the subgroup; the ring product over the full mark vectors; and the action
 check over all |G|^2 pairs of elements.
@@ -16,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import burneq as bq
+from burneq import expr
+from burneq.errors import DivisionByZero
 
 GROUP_GENERATORS: dict[str, list[list[int]]] = {
     "Z2": [[1, 0]],
@@ -141,6 +144,69 @@ def fraction_kernel(m) -> list[tuple[Fraction, ...]]:
             v[p] = -row[f]
         basis.append(tuple(v))
     return basis
+
+
+def _fraction_imul(a, b):
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(products), max(products)
+
+
+def _fraction_ipow(v, n):
+    lo, hi = v
+    if any(x and n * (x.numerator.bit_length() + x.denominator.bit_length())
+           > expr.EXACT_POWER_BITS for x in v):
+        raise OverflowError("a power too large to evaluate exactly")
+    a, b = lo ** n, hi ** n
+    if n % 2 or lo >= 0:
+        return a, b
+    return (b, a) if hi <= 0 else (0, max(a, b))
+
+
+def fraction_interval_jet(node, center, radii):
+    """`expr.interval_jet` over Fraction endpoints, one Fraction operation
+    per endpoint operation, independent of the integer kernel; the same
+    enclosures, and the same DivisionByZero and OverflowError messages."""
+    def ev(node):
+        if isinstance(node, expr.Affine):
+            mid, rad = node.const, 0
+            for a, c, r in zip(node.coeffs, center, radii):
+                if a:
+                    mid += a * c
+                    rad += abs(a) * r
+            return (mid - rad, mid + rad), [(a, a) for a in node.coeffs]
+        if isinstance(node, expr.Neg):
+            (lo, hi), grad = ev(node.operand)
+            return (-hi, -lo), [(-h, -g) for g, h in grad]
+        if isinstance(node, expr.Pow):
+            (v, dv), n = ev(node.base), node.exponent
+            if n == 0:
+                return (1, 1), [(0, 0)] * len(dv)
+            p = _fraction_ipow(v, n - 1)
+            return _fraction_ipow(v, n), [_fraction_imul((n * p[0], n * p[1]), g) for g in dv]
+        (a, da), (b, db) = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return ((a[0] + b[0], a[1] + b[1]),
+                    [(x[0] + y[0], x[1] + y[1]) for x, y in zip(da, db)])
+        if node.op == "-":
+            return ((a[0] - b[1], a[1] - b[0]),
+                    [(x[0] - y[1], x[1] - y[0]) for x, y in zip(da, db)])
+        if node.op == "*":
+            grad = []
+            for x, y in zip(da, db):
+                s, t = _fraction_imul(x, b), _fraction_imul(a, y)
+                grad.append((s[0] + t[0], s[1] + t[1]))
+            return _fraction_imul(a, b), grad
+        if b[0] <= 0 <= b[1]:
+            raise DivisionByZero("a divisor's enclosure contains zero")
+        inv = (Fraction(1) / b[1], Fraction(1) / b[0])
+        q = _fraction_imul(a, inv)
+        grad = []
+        for x, y in zip(da, db):
+            t = _fraction_imul(q, y)
+            grad.append(_fraction_imul((x[0] - t[1], x[1] - t[0]), inv))
+        return q, grad
+
+    return ev(node)
 
 
 def compose_mult_table(group: bq.FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -25,7 +25,13 @@ from burneq.errors import (
     OverlappingPieces,
     SingularJacobian,
 )
-from groupdata import PRODUCT_CORPUS_REPS, fraction_det, make_group, make_rep
+from groupdata import (
+    PRODUCT_CORPUS_REPS,
+    fraction_det,
+    fraction_interval_jet,
+    make_group,
+    make_rep,
+)
 
 QUARTER = Fraction(1, 4)
 
@@ -259,6 +265,62 @@ def test_interval_jet_encloses_the_exact_jet(root, x0, basis, data):
         assert all(lo <= dv <= hi for (lo, hi), (_, dv) in zip(grad, jets))
 
 
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (DivisionByZero, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(root=_tree(3), x0=st.lists(_SMALL, min_size=3, max_size=3),
+       basis=st.lists(st.lists(_SMALL, min_size=3, max_size=3), min_size=1, max_size=2),
+       data=st.data())
+def test_integer_interval_jet_matches_the_fraction_oracle(root, x0, basis, data):
+    """The integer kernel gives the Fraction evaluator's enclosures, as
+    rationals, or raises the same exception with the same message."""
+    tree, d = expr.restrict(expr.Expr(root, 3), x0, basis), len(basis)
+    center = data.draw(st.lists(_SMALL, min_size=d, max_size=d))
+    radii = data.draw(st.lists(st.builds(Fraction, st.integers(0, 8), st.sampled_from([1, 3, 8])),
+                               min_size=d, max_size=d))
+    assert (_outcome(expr.interval_jet, tree, center, radii)
+            == _outcome(fraction_interval_jet, tree, center, radii))
+
+
+def test_power_bound_is_decided_on_reduced_endpoints():
+    # over u in [0, 1], kept as [0/2, 2/2]: the unreduced endpoint 2/2 is
+    # over EXACT_POWER_BITS at exponent n, and its reduced form 1/1 is not
+    tree = expr.restrict(expr.parse("x1^" + str(expr.EXACT_POWER_BITS // 2), 1),
+                         [Fraction(0)], [[Fraction(1)]])
+    box = ([Fraction(1, 2)], [Fraction(1, 2)])
+    assert expr.clear_box(*box) == ([1], [1], 2)
+    n = tree.exponent
+    assert n * ((2).bit_length() + (2).bit_length()) > expr.EXACT_POWER_BITS
+    value, grad = expr.interval_jet(tree, *box)
+    assert (value, grad) == fraction_interval_jet(tree, *box) == ((0, 1), [(0, n)])
+    over = expr.Pow(tree.base, n + 1)
+    message = "a power too large to evaluate exactly"
+    assert _outcome(expr.interval_jet, over, *box) == (OverflowError, message)
+    assert _outcome(fraction_interval_jet, over, *box) == (OverflowError, message)
+    # x1 / 4 over |u| <= 4 is [-4/4, 4/4]: both endpoints are reduced
+    # against the bound, each against the interval's own denominator
+    tree = expr.restrict(expr.parse("(x1 / 4)^" + str(n), 1), [Fraction(0)], [[Fraction(1)]])
+    box = ([Fraction(0)], [Fraction(4)])
+    assert expr.interval_jet(tree, *box) == fraction_interval_jet(tree, *box) == (
+        (0, 1), [(Fraction(-n, 4), Fraction(n, 4))])
+    # x1 / 12 over |u - 7/2| <= 1/2 is [6/24, 8/24] = [1/4, 1/3]: over the
+    # bound at n / 2 unreduced and not reduced, and only the common factor
+    # 2 of both endpoints and the denominator may be divided out; compared
+    # by cross-multiplication, as a gcd of the million-bit results is slow
+    tree = expr.restrict(expr.parse(f"(x1 / 12)^{n // 2}", 1), [Fraction(0)], [[Fraction(1)]])
+    box = ([Fraction(7, 2)], [Fraction(1, 2)])
+    value, grad = expr.integer_interval_jet(tree, expr.clear_box(*box))
+    oracle_value, oracle_grad = fraction_interval_jet(tree, *box)
+    for (lo, hi, den), (a, b) in zip([value, *grad], [oracle_value, *oracle_grad], strict=True):
+        assert lo * a.denominator == a.numerator * den and hi * b.denominator == b.numerator * den
+
+
 def cubic_piece(rep, d, rng, second_zero=False):
     """perfbench's expression piece: L + L^3 with L(x0 + sum u_k b_k) = M u
     for a seeded scaled signed permutation M, at a point whose isotropy has
@@ -349,6 +411,50 @@ def test_certificate_trees_have_the_identity_jacobian(d, monkeypatch):
         origin = (0,) * d
         assert [expr.interval_jet(t, origin, origin)[0] for t in trees] == [(0, 0)] * d
         assert degree._jacobian_at_origin(trees) == [list(row) for row in la.identity(d)]
+
+
+def _fraction_decides(trees, center, radii):
+    """The Krawczyk box test over `fraction_interval_jet`, in Fractions."""
+    grads = []
+    for t in trees:
+        (lo, hi), grad = fraction_interval_jet(t, center, radii)
+        if lo > 0 or hi < 0:
+            return True
+        grads.append(grad)
+    spread = [sum(max(hi - (i == k), (i == k) - lo) * w
+                  for k, ((lo, hi), w) in enumerate(zip(grad, radii)))
+              for i, grad in enumerate(grads)]
+    if not any(center):
+        return all(s < w for s, w in zip(spread, radii))
+    origin = (0,) * len(center)
+    return any(abs(fraction_interval_jet(t, center, origin)[0][0]) > s + w
+               for t, s, w in zip(trees, spread, radii))
+
+
+def test_certificate_box_decisions_match_the_fraction_oracle(monkeypatch):
+    # every box of z^7 - 1 at (1, 0), refused at radius 1 once
+    # CERTIFICATE_BOXES boxes are spent and certified at 1/2, and of dense cubics
+    decides = degree._krawczyk_decides
+
+    def both(trees, center, radii):
+        assert _outcome(decides, trees, center, radii) == _outcome(
+            _fraction_decides, trees, center, radii)
+        return decides(trees, center, radii)
+
+    monkeypatch.setattr(degree, "_krawczyk_decides", both)
+    plane = bq.trivial_representation(bq.generate_group([[0]]), 2)
+    z7 = ExpressionLocalMap((
+        expr.parse("x1^7 - 21*x1^5*x2^2 + 35*x1^3*x2^4 - 7*x1*x2^6 - 1", 2),
+        expr.parse("7*x1^6*x2 - 35*x1^4*x2^3 + 21*x1^2*x2^5 - x2^7", 2)))
+    with pytest.raises(InvalidPiece, match="shrink the radius"):
+        bq.standard_piece(plane, [1, 0], z7, radius=1, epsilon=1)
+    assert bq.standard_piece(plane, [1, 0], z7, radius="1/2", epsilon=1).index == 1
+    rng = random.Random("dense cubic:3")
+    space = bq.trivial_representation(bq.generate_group([[0]]), 3)
+    for _ in range(5):
+        local, det = dense_cubic(3, rng)
+        piece = bq.standard_piece(space, [0] * 3, local, radius=1, epsilon=1)
+        assert piece.index == (1 if det > 0 else -1)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import burneq as bq
+import burneq.linalg as la
 from burneq import descriptors
 from burneq.degree import DeclaredLocalMap, ExpressionLocalMap, LinearLocalMap
 from burneq.errors import DescriptorError
@@ -84,6 +85,33 @@ def test_bad_rational_rejected(tmp_path):
                 write(tmp_path / "r.json", rep_payload), group
             )
 
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-3", "007", "1/2", "-4/6", "0/5", "1/02",
+    "1/0", "1/-2", "--1", "+1", " 1", "1_000", "1.5", "1e3", "\u0663", "\u00b2",
+    "", "-", "/2", "1/", "9" * 5000,
+])
+def test_rationals_read_as_fraction_reads_them(text):
+    # the int fast path for "-?digits(/digits)?" and Fraction's own parser
+    # for the rest accept, refuse and value exactly what Fraction(text) does
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DescriptorError) as refused:
+            descriptors._fraction(text, "here")
+        assert str(refused.value) == f"here: expected a rational like \"p/q\", got {text!r}"
+    else:
+        value = descriptors._fraction(text, "here")
+        assert type(value) is Fraction and value == expected
+
+
+def test_vec_keeps_fractions_and_converts_the_rest():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    kept = la.vec([half, third])
+    assert kept[0] is half and kept[1] is third
+    converted = la.vec([1, "3/6", -2])
+    assert converted == (1, half, -2) and all(type(x) is Fraction for x in converted)
 
 def test_map_round_trip(tmp_path):
     group = descriptors.load_group(write(tmp_path / "g.json", S3_GROUP))

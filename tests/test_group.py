@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import burneq as bq
+import burneq.group as group_mod
 from burneq.errors import EmptyGeneratorList, NotASubgroup, OrderCapExceeded
 from burneq.group import _elements, _lex_key
 from groupdata import (
@@ -93,6 +94,14 @@ def test_index_to_permutation_is_injective_homomorphism(name):
 def test_mult_table_matches_composition(name):
     group = make_group(name)
     assert group.mult_table == compose_mult_table(group)
+
+
+@pytest.mark.parametrize("block", [1, 7, 24, 128])
+def test_mult_table_filled_in_row_blocks_matches_composition(block, monkeypatch):
+    # order 24: one row per block, three blocks of 7 and one of 3, one block
+    monkeypatch.setattr(group_mod, "_ROW_BLOCK", block)
+    s4 = bq.generate_group([[1, 0, 2, 3], [1, 2, 3, 0]])
+    assert s4.mult_table == compose_mult_table(s4)
 
 
 def test_deterministic_indexing():
