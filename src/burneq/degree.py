@@ -27,10 +27,10 @@ Products of maps over V and W live over the block sum V (+) W: each pair of
 zero orbits G y x G z splits into diagonal orbits, and every resulting piece
 carries the product of the two local indices as a declared index. Every
 diagonal orbit meets the row {y} x G z, where it is a G_y-orbit, so the
-diagonal orbits are enumerated from that one row. The split is group data
-(tom Dieck, Transformation Groups and Representation Theory, LNM 766, 1979):
-G y is G/G_y, so rho(g) y is point `left_cosets(G, G_y)[g]` of its orbit,
-and every image on the block sum is an index lookup. The product is built
+diagonal orbits are enumerated from that one row. The split is group data:
+one diagonal orbit per double coset G_y h G_z (`group.double_cosets`). G y
+is G/G_y, so rho(g) y is point `left_cosets(G, G_y)[g]` of its orbit, and
+every image on the block sum is an index lookup. The product is built
 directly, as `standard_piece` and `polystandard_map` validate outside input
 only; `OrbitProductRow` says what that means for its rows. The degree reads
 a product piece's isotropy, index and base point only, so its orbit points
@@ -59,7 +59,7 @@ from .errors import (
     SingularJacobian,
 )
 from .expr import Expr
-from .group import Subgroup, class_index_of, left_cosets, subgroup_classes
+from .group import Subgroup, class_index_of, double_cosets, left_cosets, subgroup_classes
 from .linalg import IntOrbit, Matrix, Vector
 from .representation import (
     OrthogonalRepresentation,
@@ -329,9 +329,9 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
 def _krawczyk_decides(trees: Sequence[expr_mod.Node], center: Sequence[Fraction],
                       radii: Sequence[Fraction]) -> bool:
     """Whether the box |v - center| <= radii is empty or unique for the
-    trees G, with G'(0) = I; raises DivisionByZero as `interval_jet` does.
-    The box is cleared to integers over one denominator D, and each test
-    below is an integer comparison scaled by positive denominators."""
+    trees G, with G'(0) = I; raises DivisionByZero as `integer_interval_jet`
+    does. The box is cleared to integers over one denominator D, and each
+    test below is an integer comparison scaled by positive denominators."""
     box = expr_mod.clear_box(center, radii)
     cs, ws, den = box
     grads = []
@@ -399,9 +399,9 @@ def _det_sign(jacobian) -> int:
 
 
 def _jacobian_at_origin(trees: Sequence[expr_mod.Node]) -> list[list[Fraction]]:
-    """The exact Jacobian at u = 0 of `restrict`ed trees, in one pass each."""
-    origin = (0,) * len(trees)
-    return [[g for g, _ in expr_mod.interval_jet(t, origin, origin)[1]] for t in trees]
+    """The exact Jacobian at u = 0 of `restrict`ed trees, one pass each over the zero box."""
+    box = ((0,) * len(trees),) * 2 + (1,)
+    return [[Fraction(g, e) for g, _, e in expr_mod.integer_interval_jet(t, box)[1]] for t in trees]
 
 
 def expression_local_index(exprs: Sequence[Expr], base_point,
@@ -450,14 +450,15 @@ def existence_check(result: DegreeResult) -> bool:
 
 # ---------------------------------------------------------------- products
 
-def _product_orbit(p: StandardPiece, q: StandardPiece, ytable: Sequence[int],
-                   moved: Sequence[int], x: Vector, denom: int) -> IntOrbit:
+def _product_orbit(p: StandardPiece, q: StandardPiece, mult, ytable: Sequence[int],
+                   ztable: Sequence[int], h: int, x: Vector, denom: int) -> IntOrbit:
     """The orbit of the product point x = (y, rho(h) z0) on the block sum:
-    rho(g) x is (point ytable[g] of p's orbit, point moved[g] of q's), each
+    rho(g) x is (point ytable[g] of p's orbit, point ztable[g h] of q's), each
     new pair once in g order, over the scale that `integer_orbit` gives x."""
     scale = denom * math.lcm(*(c.denominator for c in x))
     ys, zs = (points if s == scale else [tuple(v * scale // s for v in pt) for pt in points]
               for points, s in (p.orbit, q.orbit))
+    moved = [ztable[row[h]] for row in mult]
     return tuple(ys[a] + zs[b] for a, b in dict.fromkeys(zip(ytable, moved))), scale
 
 
@@ -486,27 +487,20 @@ def _product(f: PolystandardMap, g: PolystandardMap):
         size = min(size, linalg.rational_sqrt_floor(spacing2 / 32))
 
     group, denom = sum_rep.group, sum_rep.denom
-    mult = group.mult_table
     tables = [left_cosets(group, q.isotropy) for q in g.pieces]
     pieces, factors = [], []
     for p in f.pieces:
         ytable = left_cosets(group, p.isotropy)
-        stabilizer = p.isotropy.element_set  # G_y
         for q, ztable in zip(g.pieces, tables):
-            # the diagonal orbits of G y x G z meet the row {y} x G z in
-            # the G_y-orbits on G z; one piece per G_y-orbit, at its least h
+            # the diagonal orbits of G y x G z meet {y} x G z in its G_y-orbits:
+            # one piece per double coset G_y h G_z, at (y, rho(h) z0) for its least h
             zs, zscale = q.orbit
-            covered: set[int] = set()
-            for h, i in enumerate(ztable):
-                if i in covered:
-                    continue
-                x = p.base_point + tuple(Fraction(v, zscale) for v in zs[i])  # (y, rho(h) z0)
-                moved = [ztable[row[h]] for row in mult]  # k -> position of rho(k) z
-                sub = Subgroup.of(k for k in stabilizer if moved[k] == i)
-                covered.update(moved[k] for k in stabilizer)
-                index = p.index * q.index
+            index = p.index * q.index
+            for h, sub in double_cosets(group, p.isotropy, ztable):
+                x = p.base_point + tuple(Fraction(v, zscale) for v in zs[ztable[h]])
                 pieces.append(StandardPiece(x, sub, size, size, DeclaredLocalMap(index), index,
-                                            partial(_product_orbit, p, q, ytable, moved, x, denom)))
+                                            partial(_product_orbit, p, q, group.mult_table,
+                                                    ytable, ztable, h, x, denom)))
                 factors.append((p, q))
     return PolystandardMap(sum_rep, tuple(pieces), known_spacing2=spacing2), tuple(factors)
 

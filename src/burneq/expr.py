@@ -11,7 +11,8 @@ Grammar (standard precedence, left associative):
 Numbers are decimal literals, kept and printed exactly; variables are
 x1..xn for the declared dimension; '^' takes a literal non-negative integer
 exponent and binds tighter than unary minus, so "-x1^2" means -(x1^2).
-`jet` is exact, and so is `interval_jet`, its interval form over a box.
+`jet` is exact, and so is `integer_interval_jet`, its interval form over a
+box, on integer endpoints over one denominator per interval.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class Affine:
 
 
 Node = Union[Num, Var, Neg, BinOp, Pow, Affine]
-Interval = tuple[Fraction, Fraction]  # (lo, hi), exact endpoints
 IntInterval = tuple[int, int, int]  # (lo, hi, den): [lo / den, hi / den], den > 0
 Box = tuple[Sequence[int], Sequence[int], int]  # centre and radii, integers over one den
 
@@ -320,9 +320,9 @@ def restrict(e: Expr, point: Sequence[Fraction],
     """The tree of e on x = point + sum_k u_k basis[k], as a function of u.
 
     Every subtree that is affine in u, constants among them, is folded into
-    one `Affine` leaf, once, so that `interval_jet` takes the exact range of
-    each such leaf over a box. Raises OverflowError on a constant power
-    beyond EXACT_POWER_BITS.
+    one `Affine` leaf, once, so that `integer_interval_jet` takes the exact
+    range of each such leaf over a box. Raises OverflowError on a constant
+    power beyond EXACT_POWER_BITS.
     """
     zero = (0,) * len(basis)
 
@@ -422,8 +422,12 @@ def clear_box(center: Sequence[Fraction], radii: Sequence[Fraction]) -> Box:
 
 
 def integer_interval_jet(node: Node, box: Box) -> tuple[IntInterval, list[IntInterval]]:
-    """`interval_jet` over a cleared box, with integer intervals over one
-    positive denominator each: no gcd and no Fraction inside the pass."""
+    """Exact enclosures of the value and the gradient in u of a `restrict`ed
+    tree over a `clear_box`ed box, in one pass of interval arithmetic (Moore,
+    Interval Analysis, 1966) on integer endpoints over one positive
+    denominator per interval, with no gcd and no Fraction. Raises
+    DivisionByZero when a divisor's enclosure contains 0, and OverflowError
+    on a power beyond EXACT_POWER_BITS."""
     center, radii, den = box
 
     def ev(node: Node) -> tuple[IntInterval, Sequence[IntInterval]]:
@@ -462,20 +466,3 @@ def integer_interval_jet(node: Node, box: Box) -> tuple[IntInterval, list[IntInt
 
     value, grad = ev(node)
     return value, list(grad)
-
-
-def interval_jet(node: Node, center: Sequence[Fraction],
-                 radii: Sequence[Fraction]) -> tuple[Interval, list[Interval]]:
-    """Exact enclosures of the value and the gradient in u of a `restrict`ed
-    tree over the box |u_k - center_k| <= radii_k, in one pass.
-
-    Interval arithmetic (Moore, Interval Analysis, 1966) on integer
-    endpoints over one denominator per interval (`integer_interval_jet`),
-    returned as Fraction endpoints: every value the tree takes on the box
-    lies in the value interval, and every partial derivative in its
-    gradient interval. Raises DivisionByZero when a divisor's enclosure
-    contains 0, and OverflowError on a power beyond EXACT_POWER_BITS.
-    """
-    (lo, hi, den), grad = integer_interval_jet(node, clear_box(center, radii))
-    return ((Fraction(lo, den), Fraction(hi, den)),
-            [(Fraction(g, e), Fraction(h, e)) for g, h, e in grad])

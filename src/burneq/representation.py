@@ -507,8 +507,7 @@ def _witness_orbits(rep: OrthogonalRepresentation, subgroup: Subgroup,
              for b in fs.basis]
     picks: list[tuple[Vector, IntOrbit]] = []
     taken: set[IntVector] = set()
-    subgroups = sum(len(c.members) for c in subgroup_classes(group))
-    for t in range(1, d * (subgroups + count * group.order) + 1):
+    for t in range(1, d * (len(group.class_of) + count * group.order) + 1):  # a key per subgroup
         point = [0] * n
         for k, b in enumerate(basis):
             p = t ** (k + 1)

@@ -162,8 +162,16 @@ def _fraction_ipow(v, n):
     return (b, a) if hi <= 0 else (0, max(a, b))
 
 
+def kernel_interval_jet(node, center, radii):
+    """`expr.integer_interval_jet` over the box |u - center| <= radii, its
+    endpoints converted to Fractions, to compare with `fraction_interval_jet`."""
+    (lo, hi, den), grad = expr.integer_interval_jet(node, expr.clear_box(center, radii))
+    return ((Fraction(lo, den), Fraction(hi, den)),
+            [(Fraction(g, e), Fraction(h, e)) for g, h, e in grad])
+
+
 def fraction_interval_jet(node, center, radii):
-    """`expr.interval_jet` over Fraction endpoints, one Fraction operation
+    """`kernel_interval_jet` over Fraction endpoints, one Fraction operation
     per endpoint operation, independent of the integer kernel; the same
     enclosures, and the same DivisionByZero and OverflowError messages."""
     def ev(node):

@@ -206,6 +206,19 @@ def test_check_on_a5_runs_every_class_pair(tmp_path, capsys):
     assert capsys.readouterr().out == "marks-vs-orbit oracle: 81 class pairs, OK\n"
 
 
+def test_check_builds_no_product_gset(files, capsys, monkeypatch):
+    # the oracle counts double cosets; the G-sets stay the tests' oracle only
+    calls = []
+    for name in ("product_gset", "decompose_gset"):
+        real = getattr(burneq.burnside, name)
+        monkeypatch.setattr(burneq.burnside, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    assert main(["check", "-g", files["s3"], "-r", files["s3rep"], "--pairs", "2"]) == 0
+    assert capsys.readouterr().out == ("marks-vs-orbit oracle: 16 class pairs, OK\n"
+                                       "product fuzz: 2 pairs, seed 0, OK\n")
+    assert calls == []
+
+
 def test_outputs_byte_stable(files, capsys):
     def run():
         main(["group", "-g", files["s3"], "--format", "json"])

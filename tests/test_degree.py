@@ -1,6 +1,7 @@
 """Local indices, degrees, products, and the independent block-matrix route."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from groupdata import (
     PRODUCT_CORPUS_REPS,
     fraction_det,
     fraction_interval_jet,
+    kernel_interval_jet,
     make_group,
     make_rep,
 )
@@ -244,13 +246,13 @@ _SMALL = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4]))
        data=st.data())
 def test_interval_jet_encloses_the_exact_jet(root, x0, basis, data):
     """At rational points of a box, `jet`'s value and its derivative along
-    each basis vector lie in `interval_jet`'s intervals."""
+    each basis vector lie in the interval kernel's intervals."""
     e, d = expr.Expr(root, 3), len(basis)
     center = data.draw(st.lists(_SMALL, min_size=d, max_size=d))
     radii = data.draw(st.lists(st.builds(Fraction, st.integers(0, 8), st.just(8)),
                                min_size=d, max_size=d))
     try:
-        value, grad = expr.interval_jet(expr.restrict(e, x0, basis), center, radii)
+        value, grad = kernel_interval_jet(expr.restrict(e, x0, basis), center, radii)
     except (DivisionByZero, OverflowError):
         return  # the certificate splits such a box, or refuses the piece
     for _ in range(3):
@@ -284,7 +286,7 @@ def test_integer_interval_jet_matches_the_fraction_oracle(root, x0, basis, data)
     center = data.draw(st.lists(_SMALL, min_size=d, max_size=d))
     radii = data.draw(st.lists(st.builds(Fraction, st.integers(0, 8), st.sampled_from([1, 3, 8])),
                                min_size=d, max_size=d))
-    assert (_outcome(expr.interval_jet, tree, center, radii)
+    assert (_outcome(kernel_interval_jet, tree, center, radii)
             == _outcome(fraction_interval_jet, tree, center, radii))
 
 
@@ -297,17 +299,17 @@ def test_power_bound_is_decided_on_reduced_endpoints():
     assert expr.clear_box(*box) == ([1], [1], 2)
     n = tree.exponent
     assert n * ((2).bit_length() + (2).bit_length()) > expr.EXACT_POWER_BITS
-    value, grad = expr.interval_jet(tree, *box)
+    value, grad = kernel_interval_jet(tree, *box)
     assert (value, grad) == fraction_interval_jet(tree, *box) == ((0, 1), [(0, n)])
     over = expr.Pow(tree.base, n + 1)
     message = "a power too large to evaluate exactly"
-    assert _outcome(expr.interval_jet, over, *box) == (OverflowError, message)
+    assert _outcome(kernel_interval_jet, over, *box) == (OverflowError, message)
     assert _outcome(fraction_interval_jet, over, *box) == (OverflowError, message)
     # x1 / 4 over |u| <= 4 is [-4/4, 4/4]: both endpoints are reduced
     # against the bound, each against the interval's own denominator
     tree = expr.restrict(expr.parse("(x1 / 4)^" + str(n), 1), [Fraction(0)], [[Fraction(1)]])
     box = ([Fraction(0)], [Fraction(4)])
-    assert expr.interval_jet(tree, *box) == fraction_interval_jet(tree, *box) == (
+    assert kernel_interval_jet(tree, *box) == fraction_interval_jet(tree, *box) == (
         (0, 1), [(Fraction(-n, 4), Fraction(n, 4))])
     # x1 / 12 over |u - 7/2| <= 1/2 is [6/24, 8/24] = [1/4, 1/3]: over the
     # bound at n / 2 unreduced and not reduced, and only the common factor
@@ -409,7 +411,7 @@ def test_certificate_trees_have_the_identity_jacobian(d, monkeypatch):
         bq.standard_piece(space, [0] * d, local, radius=1, epsilon=1)
         trees = seen[0]
         origin = (0,) * d
-        assert [expr.interval_jet(t, origin, origin)[0] for t in trees] == [(0, 0)] * d
+        assert [kernel_interval_jet(t, origin, origin)[0] for t in trees] == [(0, 0)] * d
         assert degree._jacobian_at_origin(trees) == [list(row) for row in la.identity(d)]
 
 
@@ -821,20 +823,29 @@ def test_each_map_carries_its_own_orbit_spacing(name, monkeypatch):
 @pytest.mark.parametrize("name", [*PRODUCT_CORPUS_REPS, "S3-regular"])
 def test_fuzz_eliminates_each_sampled_block_once(name, monkeypatch):
     # the sampler hands back the determinant it computed, so the mutation
-    # reads the sign off it; every matrix that reaches linalg.det is a new
-    # draw, and every block the mutation keeps was eliminated exactly once
+    # reads the sign off it: over whole fuzz draws, the block entries drawn,
+    # randint(-3, 3) calls, are exactly the entries of the matrices that fuzz
+    # eliminates, each matrix once, all in the sampler and none in
+    # _mutate_piece, and the blocks the mutation keeps are among them; the
+    # realization's own eliminations, in standard_piece, are not fuzz's
     rep = make_rep(name)
-    calls = []
-    det = la.det
-    kept = 0
+    det, calls, entries, blocks = la.det, [], [], []
+    monkeypatch.setattr(la, "det", lambda matrix: calls.append(
+        (sys._getframe(1).f_code, matrix)) or det(matrix))
     for seed in range(20):
         rng = random.Random(seed)
-        f = fuzz.random_polystandard_map(rep, rng, mutate=False)
-        monkeypatch.setattr(la, "det", lambda matrix: calls.append(matrix) or det(matrix))
-        mutated = [fuzz._mutate_piece(rep, p, rng) for p in f.pieces]
-        monkeypatch.undo()
-        for before, after in zip(f.pieces, mutated):
-            if after.local != before.local and isinstance(after.local, LinearLocalMap):
-                assert sum(m is after.local.matrix for m in calls) == 1
-                kept += 1
-    assert len({id(m) for m in calls}) == len(calls) >= kept > 0
+
+        def randint(a, b, randint=rng.randint):
+            if (a, b) == (-3, 3):  # one entry of a sampled block
+                entries.append(a)
+            return randint(a, b)
+
+        rng.randint = randint
+        f = fuzz.random_polystandard_map(rep, rng)
+        blocks += [p.local.matrix for p in f.pieces if isinstance(p.local, LinearLocalMap)]
+    sampled = [(code.co_name, m) for code, m in calls if code.co_filename == fuzz.__file__]
+    assert {caller for caller, _ in sampled} == {"_nonsingular_block"}
+    eliminated = {id(m) for _, m in sampled}
+    assert len(eliminated) == len(sampled)
+    assert sum(len(m) ** 2 for _, m in sampled) == len(entries)
+    assert sum(id(m) in eliminated for m in blocks) > 0

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 import burneq as bq
 import burneq.group as group_mod
 from burneq.errors import EmptyGeneratorList, NotASubgroup, OrderCapExceeded
-from burneq.group import _elements, _lex_key
+from burneq.group import (
+    _elements,
+    _lex_key,
+    class_index_of,
+    conjugate_subgroup,
+    double_cosets,
+    left_cosets,
+)
 from groupdata import (
     EXPECTED_ORDER,
     MARKS_GROUPS,
@@ -327,6 +334,46 @@ def test_weyl_data_of_non_representative_members_matches_the_scan(name):
         for member in cls.members[1:]:
             assert cls.conjugators[member.mask] != 0
             assert bq.weyl_data(group, member) == scan_weyl_data(group, member)
+
+
+# ---------------------------------------------------------------- double cosets
+
+DOUBLE_COSET_GROUPS = [*MARKS_GROUPS, "S4", "A5"]
+
+
+@pytest.mark.parametrize("name", DOUBLE_COSET_GROUPS)
+def test_double_cosets_count_the_orbits_of_the_product_gset(name):
+    # G/H x G/K has one orbit G/(H ∩ g K g^-1) per double coset H g K, so
+    # the class counts equal the orbit decomposition of the product G-set
+    group = make_group(name)
+    classes = bq.subgroup_classes(group)
+    for a, b in itertools.product(classes, classes):
+        coeffs = [0] * len(classes)
+        cosets = left_cosets(group, b.representative)
+        for _, sub in double_cosets(group, a.representative, cosets):
+            coeffs[class_index_of(group, sub)] += 1
+        oracle = bq.decompose_gset(bq.product_gset(a, b))
+        assert tuple(coeffs) == oracle.coeffs, (name, a.class_index, b.class_index)
+
+
+@pytest.mark.parametrize("name", DOUBLE_COSET_GROUPS)
+def test_double_cosets_partition_g_at_their_least_elements(name):
+    # each g is the least element of H g K, the double cosets partition G,
+    # and each subgroup is H ∩ g K g^-1, for H and K over every pair of
+    # subgroups, as product pieces take any isotropy, not only a representative
+    group = make_group(name)
+    mult = group.mult_table
+    subgroups = bq.all_subgroups(group)
+    for h_sub, k_sub in itertools.product(subgroups, subgroups):
+        found = double_cosets(group, h_sub, left_cosets(group, k_sub))
+        seen = set()
+        for g, sub in found:
+            coset = {mult[mult[h][g]][k] for h in h_sub.element_set for k in k_sub.element_set}
+            assert min(coset) == g and not coset & seen
+            seen |= coset
+            assert sub.mask == h_sub.mask & conjugate_subgroup(group, k_sub, g).mask
+        assert seen == set(range(group.order))
+        assert [g for g, _ in found] == sorted(g for g, _ in found)
 
 
 # ---------------------------------------------------------------- labels
