@@ -394,18 +394,18 @@ def left_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[int]:
 def double_cosets(group: FiniteGroup, subgroup: Subgroup,
                   cosets: Sequence[int]) -> list[tuple[int, Subgroup]]:
     """Each double coset H g K, an orbit G/(H ∩ g K g^-1) of G/H x G/K (tom Dieck,
-    LNM 766, 1979), as its least g and H ∩ g K g^-1, for `cosets` the
-    `left_cosets` of K: g walks G upwards past covered cosets, H g K is the
+    LNM 766, 1979), as its least g and H ∩ g K g^-1, for `cosets` the `left_cosets`
+    of K: g walks G upwards past covered cosets until all are covered, H g K is the
     H-orbit of g K, and h g K = g K exactly when h lies in g K g^-1."""
-    mult, elements = group.mult_table, subgroup.element_set
-    covered = bytearray(len(cosets))
-    found = []
+    mult, elements, last = group.mult_table, subgroup.element_set, max(cosets)
+    covered, found = set(), []
     for g, i in enumerate(cosets):
-        if not covered[i]:
+        if i not in covered:
             moved = [cosets[mult[h][g]] for h in elements]
-            for j in moved:
-                covered[j] = 1
+            covered.update(moved)
             found.append((g, Subgroup(sum(1 << h for h, j in zip(elements, moved) if j == i))))
+            if len(covered) > last:
+                break
     return found
 
 

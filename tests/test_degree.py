@@ -826,13 +826,13 @@ def test_fuzz_eliminates_each_sampled_block_once(name, monkeypatch):
     # reads the sign off it: over whole fuzz draws, the block entries drawn,
     # randint(-3, 3) calls, are exactly the entries of the matrices that fuzz
     # eliminates, each matrix once, all in the sampler and none in
-    # _mutate_piece, and the blocks the mutation keeps are among them; the
-    # realization's own eliminations, in standard_piece, are not fuzz's
+    # _mutate_piece; every block the mutation keeps, found against the
+    # unmutated draw of the same seed, is one of them and reaches linalg.det
+    # exactly once in its draw, counting calls from every module
     rep = make_rep(name)
-    det, calls, entries, blocks = la.det, [], [], []
-    monkeypatch.setattr(la, "det", lambda matrix: calls.append(
-        (sys._getframe(1).f_code, matrix)) or det(matrix))
+    det, calls, entries, kept = la.det, [], [], []
     for seed in range(20):
+        plain = fuzz.random_polystandard_map(rep, random.Random(seed), mutate=False)
         rng = random.Random(seed)
 
         def randint(a, b, randint=rng.randint):
@@ -841,11 +841,19 @@ def test_fuzz_eliminates_each_sampled_block_once(name, monkeypatch):
             return randint(a, b)
 
         rng.randint = randint
+        monkeypatch.setattr(la, "det", lambda matrix: calls.append(
+            (sys._getframe(1).f_code, matrix)) or det(matrix))
         f = fuzz.random_polystandard_map(rep, rng)
-        blocks += [p.local.matrix for p in f.pieces if isinstance(p.local, LinearLocalMap)]
+        monkeypatch.undo()
+        assert len(f.pieces) == len(plain.pieces)
+        kept += [after.local.matrix for before, after in zip(plain.pieces, f.pieces)
+                 if after.local != before.local and isinstance(after.local, LinearLocalMap)]
     sampled = [(code.co_name, m) for code, m in calls if code.co_filename == fuzz.__file__]
     assert {caller for caller, _ in sampled} == {"_nonsingular_block"}
     eliminated = {id(m) for _, m in sampled}
     assert len(eliminated) == len(sampled)
     assert sum(len(m) ** 2 for _, m in sampled) == len(entries)
-    assert sum(id(m) in eliminated for m in blocks) > 0
+    assert kept
+    for block in kept:
+        assert id(block) in eliminated
+        assert sum(m is block for _, m in calls) == 1
