@@ -2,7 +2,8 @@
 
 Backs the CLI self-check and the verification suite. Everything is driven
 by a caller-supplied random.Random so runs are reproducible for a fixed
-seed.
+seed. A random linear block comes with its determinant's sign, known by
+construction (`_signed_block`): a draw eliminates nothing and never retries.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from . import linalg
 from .burnside import BurnsideElement
 from .degree import (
     DeclaredLocalMap,
@@ -25,22 +25,24 @@ from .realize import RealizationTarget, realize_element
 from .representation import OrthogonalRepresentation, occupied_classes
 
 
-def random_nonsingular_matrix(rng: random.Random, dim: int, bound: int = 3) -> Matrix:
-    """A random integer matrix with nonzero exact determinant."""
-    return _nonsingular_block(rng, dim, bound)[0]
+def _signed_block(rng: random.Random, dim: int) -> tuple[Matrix, int]:
+    """A random dim x dim integer block and the sign of its determinant.
 
-
-def _nonsingular_block(rng: random.Random, dim: int, bound: int = 3) -> tuple[Matrix, Fraction]:
-    """A random nonsingular integer matrix and its determinant, one elimination per draw."""
-    for _ in range(200):
-        rows = tuple(
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
-            for _ in range(dim)
-        )
-        det = linalg.det(rows)
-        if det != 0:
-            return rows, det
-    raise AssertionError("could not sample a nonsingular matrix")
+    U is upper triangular, with diagonal entries from +-{1, 2, 3} and entries
+    in [-3, 3] above it; each row i >= 1 then gains c times row j of U, for
+    a random j < i and c in [-3, 3]. The block is (I + N) U with N strictly
+    lower triangular, so its determinant is the product of U's diagonal, and
+    every entry lies in [-12, 12].
+    """
+    upper = [[0] * i + [rng.choice((-3, -2, -1, 1, 2, 3))]
+             + [rng.randint(-3, 3) for _ in range(dim - i - 1)]
+             for i in range(dim)]
+    sign = (-1) ** sum(row[i] < 0 for i, row in enumerate(upper))
+    rows = upper[:1]
+    for i in range(1, dim):
+        j, c = rng.randrange(i), rng.randint(-3, 3)
+        rows.append([a + c * b for a, b in zip(upper[i], upper[j])])
+    return tuple(tuple(map(Fraction, row)) for row in rows), sign
 
 
 def random_feasible_element(rep: OrthogonalRepresentation, rng: random.Random,
@@ -61,9 +63,8 @@ def random_feasible_element(rep: OrthogonalRepresentation, rng: random.Random,
     return BurnsideElement(group, tuple(coeffs))
 
 
-def _mutate_piece(rep: OrthogonalRepresentation, piece: StandardPiece,
-                  rng: random.Random) -> StandardPiece:
-    d = rep.orbit_types.entries[rep.group.class_of[piece.isotropy.mask]].dim_fixed
+def _mutate_piece(piece: StandardPiece, rng: random.Random) -> StandardPiece:
+    d = len(piece.local.matrix)  # a realized piece carries a d x d signed unit block
     if d == 0:
         return piece
     roll = rng.random()
@@ -71,9 +72,8 @@ def _mutate_piece(rep: OrthogonalRepresentation, piece: StandardPiece,
         index = rng.choice([-3, -2, -1, 1, 2, 3])
         local = DeclaredLocalMap(index)
     elif roll < 0.65:
-        matrix, det = _nonsingular_block(rng, d)
+        matrix, index = _signed_block(rng, d)
         local = LinearLocalMap(matrix)
-        index = 1 if det > 0 else -1
     else:
         return piece
     # same base point, and a d x d nonsingular block or a declared index at
@@ -82,17 +82,15 @@ def _mutate_piece(rep: OrthogonalRepresentation, piece: StandardPiece,
     return replace(piece, local=local, index=index)
 
 
-def random_polystandard_map(rep: OrthogonalRepresentation, rng: random.Random,
-                            mutate: bool = True) -> PolystandardMap:
+def random_polystandard_map(rep: OrthogonalRepresentation,
+                            rng: random.Random) -> PolystandardMap:
     """Realize a random feasible element, then vary the local indices.
 
-    Mutation swaps some signed unit blocks for random nonsingular integer
-    blocks or declared indices; base points and radii stay put, so the map
-    remains valid while the per-orbit indices get interesting.
+    Mutation swaps some signed unit blocks for declared indices or for
+    `_signed_block` draws, whose known sign is the piece's index; base points
+    and radii stay put, so the map remains valid while the per-orbit indices
+    get interesting.
     """
-    target = random_feasible_element(rep, rng)
-    f = realize_element(RealizationTarget(element=target, rep=rep))
-    if not mutate:
-        return f
-    pieces = tuple(_mutate_piece(rep, p, rng) for p in f.pieces)
+    f = realize_element(RealizationTarget(random_feasible_element(rep, rng), rep))
+    pieces = tuple(_mutate_piece(p, rng) for p in f.pieces)
     return PolystandardMap(rep, pieces, known_spacing2=f.known_spacing2)  # orbits unchanged

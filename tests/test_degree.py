@@ -1,7 +1,6 @@
 """Local indices, degrees, products, and the independent block-matrix route."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -49,6 +48,11 @@ def unit_piece(rep, point, size=None):
 
 def _local_dim(rep, point):
     return bq.fixed_subspace(rep, bq.isotropy(rep, point)).dim_fixed
+
+
+def unmutated_draw(rep, rng):
+    """The map a fuzz draw realizes before its mutation, from the same random stream."""
+    return bq.realize_element(bq.RealizationTarget(fuzz.random_feasible_element(rep, rng), rep))
 
 
 def block_diag(a, b, na, nb):
@@ -590,13 +594,13 @@ def test_degree_result_recomputable(s3_perm):
 @pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
 def test_conjugation_invariance_of_linear_pieces(name):
     rep = make_rep(name)
-    rng = random.Random(hash(name) % 100000)
+    rng = random.Random(f"conjugation {name}")
     for entry in bq.representation.occupied_classes(rep):
         if entry.dim_fixed == 0:
             continue
         sub = bq.subgroup_classes(rep.group)[entry.class_index].representative
         w = bq.point_with_exact_isotropy(rep, sub)
-        block = fuzz.random_nonsingular_matrix(rng, entry.dim_fixed)
+        block, _ = fuzz._signed_block(rng, entry.dim_fixed)
         piece = bq.standard_piece(rep, w, LinearLocalMap(block))
         d = bq.local_index(piece, rep)
         for g in range(rep.group.order):
@@ -698,9 +702,9 @@ def test_mutated_piece_matches_a_full_rebuild(name):
     changed = 0
     for seed in range(40):
         rng = random.Random(seed)
-        f = fuzz.random_polystandard_map(rep, rng, mutate=False)
+        f = unmutated_draw(rep, rng)
         for piece in f.pieces:
-            mutated = fuzz._mutate_piece(rep, piece, rng)
+            mutated = fuzz._mutate_piece(piece, rng)
             rebuilt = bq.standard_piece(rep, piece.base_point, mutated.local,
                                         radius=piece.radius, epsilon=piece.epsilon)
             assert mutated == rebuilt
@@ -790,7 +794,7 @@ def test_verify_product_builds_no_product_point_and_no_spacing(name, monkeypatch
 
 @pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
 def test_each_map_carries_its_own_orbit_spacing(name, monkeypatch):
-    # realize_element, fuzz (mutated or not) and _product each hand the map
+    # realize_element, fuzz and _product each hand the map
     # the spacing of its own pieces' orbits, so reading it computes nothing;
     # a map from polystandard_map computes it once, on first read; the
     # product's is the smaller factor's
@@ -803,7 +807,7 @@ def test_each_map_carries_its_own_orbit_spacing(name, monkeypatch):
     for _ in range(4):
         target = fuzz.random_feasible_element(rep, rng)
         realized = bq.realize_element(bq.RealizationTarget(element=target, rep=rep))
-        f = fuzz.random_polystandard_map(rep, rng, mutate=False)
+        f = unmutated_draw(rep, rng)
         g = fuzz.random_polystandard_map(rep, rng)
         rebuilt = bq.polystandard_map(rep, g.pieces)
         maps = [realized, f, g, bq.product_map(f, g), bq.product_map(g, realized)]
@@ -820,40 +824,45 @@ def test_each_map_carries_its_own_orbit_spacing(name, monkeypatch):
     assert unequal > 0
 
 
+def assert_signed_block(block, sign):
+    """An integer block with entries in [-12, 12] whose determinant, by an
+    elimination independent of linalg.det, is nonzero and has the given sign."""
+    det = fraction_det(block)
+    assert det != 0
+    assert sign == (1 if det > 0 else -1)
+    assert all(type(x) is Fraction and x.denominator == 1 and abs(x) <= 12
+               for row in block for x in row)
+
+
 @pytest.mark.parametrize("name", [*PRODUCT_CORPUS_REPS, "S3-regular"])
-def test_fuzz_eliminates_each_sampled_block_once(name, monkeypatch):
-    # the sampler hands back the determinant it computed, so the mutation
-    # reads the sign off it: over whole fuzz draws, the block entries drawn,
-    # randint(-3, 3) calls, are exactly the entries of the matrices that fuzz
-    # eliminates, each matrix once, all in the sampler and none in
-    # _mutate_piece; every block the mutation keeps, found against the
-    # unmutated draw of the same seed, is one of them and reaches linalg.det
-    # exactly once in its draw, counting calls from every module
+def test_fuzz_draws_blocks_of_known_sign_without_elimination(name, monkeypatch):
+    # the sign of a sampled block is known by construction, so over whole
+    # fuzz draws linalg.det is never called, from any module; every block
+    # the mutation keeps, found against the unmutated draw of the same seed,
+    # is nonsingular, its piece's index is its determinant's sign by an
+    # independent elimination, and its entries are integers in [-12, 12]
     rep = make_rep(name)
-    det, calls, entries, kept = la.det, [], [], []
+    det, kept = la.det, []
     for seed in range(20):
-        plain = fuzz.random_polystandard_map(rep, random.Random(seed), mutate=False)
         rng = random.Random(seed)
-
-        def randint(a, b, randint=rng.randint):
-            if (a, b) == (-3, 3):  # one entry of a sampled block
-                entries.append(a)
-            return randint(a, b)
-
-        rng.randint = randint
-        monkeypatch.setattr(la, "det", lambda matrix: calls.append(
-            (sys._getframe(1).f_code, matrix)) or det(matrix))
+        plain = unmutated_draw(rep, rng)
+        rng = random.Random(seed)
+        calls = []
+        monkeypatch.setattr(la, "det", lambda matrix: calls.append(matrix) or det(matrix))
         f = fuzz.random_polystandard_map(rep, rng)
         monkeypatch.undo()
+        assert calls == []
         assert len(f.pieces) == len(plain.pieces)
-        kept += [after.local.matrix for before, after in zip(plain.pieces, f.pieces)
+        kept += [after for before, after in zip(plain.pieces, f.pieces)
                  if after.local != before.local and isinstance(after.local, LinearLocalMap)]
-    sampled = [(code.co_name, m) for code, m in calls if code.co_filename == fuzz.__file__]
-    assert {caller for caller, _ in sampled} == {"_nonsingular_block"}
-    eliminated = {id(m) for _, m in sampled}
-    assert len(eliminated) == len(sampled)
-    assert sum(len(m) ** 2 for _, m in sampled) == len(entries)
     assert kept
-    for block in kept:
-        assert id(block) in eliminated
-        assert sum(m is block for _, m in calls) == 1
+    for piece in kept:
+        assert_signed_block(piece.local.matrix, piece.index)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_signed_block_sign_matches_an_independent_elimination(dim):
+    for seed in range(50):
+        block, sign = fuzz._signed_block(random.Random(f"block {dim} {seed}"), dim)
+        assert len(block) == dim and all(len(row) == dim for row in block)
+        assert_signed_block(block, sign)
