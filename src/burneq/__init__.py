@@ -38,7 +38,7 @@ from .degree import (
     standard_piece,
     verify_product,
 )
-from .expr import Expr, parse, to_source
+from .expr import Expr, parse
 from .group import (
     FiniteGroup,
     Subgroup,

@@ -34,8 +34,9 @@ every image on the block sum is an index lookup. The product is built
 directly, as `standard_piece` and `polystandard_map` validate outside input
 only; `OrbitProductRow` says what that means for its rows. The degree reads
 a product piece's isotropy, index and base point only, so its orbit points
-are built on first read (`_product_orbit`), and its radii come from the
-spacings the factor maps carry (`PolystandardMap.spacing2`).
+are built on first read (`_product_orbit`), and its radii are half the
+least radius or epsilon of the factor pieces: the factor tubes alone keep
+the product's tubes apart (see `_product`).
 """
 
 from __future__ import annotations
@@ -126,25 +127,10 @@ class StandardPiece:
         return "(" + ", ".join(str(c) for c in self.base_point) + ")"
 
 
-_UNKNOWN = object()
-
-
 @dataclass(frozen=True)
 class PolystandardMap:
-    """`spacing2` is `min_orbit_spacing2` over these pieces' orbits and no
-    others'. A maker that computed it for exactly these orbits passes it as
-    `known_spacing2`, else it is computed on first read. It takes no part in
-    equality; `dataclasses.replace` keeps it, so pass it again on any new orbit."""
-
     rep: OrthogonalRepresentation
     pieces: tuple[StandardPiece, ...]
-    known_spacing2: Fraction | None | object = field(default=_UNKNOWN, compare=False, repr=False)
-
-    @cached_property
-    def spacing2(self) -> Fraction | None:
-        if self.known_spacing2 is _UNKNOWN:
-            return linalg.min_orbit_spacing2([p.orbit for p in self.pieces])
-        return self.known_spacing2
 
 
 @dataclass(frozen=True)
@@ -187,6 +173,13 @@ class ProductCheck:
 
 # ---------------------------------------------------------------- piece construction
 
+def tube_size(spacing2: Fraction | None) -> Fraction:
+    """The default tube size for points whose squared spacing is spacing2:
+    `rational_sqrt_floor(spacing2 / 32)`, or 1 when there is no second point
+    (spacing2 is None). Tubes of 2 * size then stay apart, and 4 * size^2 < spacing2."""
+    return Fraction(1) if spacing2 is None else linalg.rational_sqrt_floor(spacing2 / 32)
+
+
 def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef,
                    radius=None, epsilon=None) -> StandardPiece:
     """Validate and build one standard piece.
@@ -211,10 +204,7 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
         )
     sub, orb = integer_orbit(rep, x0)
     spacing2 = linalg.min_orbit_spacing2([orb])
-    if spacing2 is not None:
-        default_size = linalg.rational_sqrt_floor(spacing2 / 32)
-    else:
-        default_size = Fraction(1)
+    default_size = tube_size(spacing2)
     radius = Fraction(radius) if radius is not None else default_size
     epsilon = Fraction(epsilon) if epsilon is not None else default_size
     if radius <= 0 or epsilon <= 0:
@@ -475,16 +465,16 @@ def _product(f: PolystandardMap, g: PolystandardMap):
     if not f.pieces or not g.pieces:
         return PolystandardMap(sum_rep, ()), ()
 
-    # the product needs no validation: two distinct product points differ in
-    # one factor, so their squared distance is at least s, the smaller of the
-    # two factor spacings, and the union of the product orbits is the product
-    # of the factor unions, so s is the product's spacing; each tube is
-    # 2 * size with size^2 <= s / 32, so (4 * size)^2 <= s / 2 < s, and the
-    # same bound gives each piece's own check, 4 * size^2 < s
-    spacing2 = min((m.spacing2 for m in (f, g) if m.spacing2 is not None), default=None)
+    # the product needs no validation. Let m be the least radius or epsilon
+    # of all factor pieces. In every map the library accepts or builds,
+    # distinct zeros are more than 2m apart: `standard_piece` keeps
+    # 4 epsilon^2 < s inside an orbit, `polystandard_map` keeps two orbits
+    # more than r_i + epsilon_i + r_j + epsilon_j apart, realized pieces are
+    # at least sqrt(32) * size apart, and product pieces more than 4 * size.
+    # Two distinct product points differ in one factor, so they too are more
+    # than 2m apart: tubes of 2 * size = m stay disjoint, and each piece's own
+    # check, 4 * size^2 = m^2 < s, holds
     size = min(min(p.radius, p.epsilon) for p in (*f.pieces, *g.pieces)) / 2
-    if spacing2 is not None:
-        size = min(size, linalg.rational_sqrt_floor(spacing2 / 32))
 
     group, denom = sum_rep.group, sum_rep.denom
     tables = [left_cosets(group, q.isotropy) for q in g.pieces]
@@ -502,7 +492,7 @@ def _product(f: PolystandardMap, g: PolystandardMap):
                                             partial(_product_orbit, p, q, group.mult_table,
                                                     ytable, ztable, h, x, denom)))
                 factors.append((p, q))
-    return PolystandardMap(sum_rep, tuple(pieces), known_spacing2=spacing2), tuple(factors)
+    return PolystandardMap(sum_rep, tuple(pieces)), tuple(factors)
 
 
 def product_map(f: PolystandardMap, g: PolystandardMap) -> PolystandardMap:

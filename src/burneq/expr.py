@@ -93,6 +93,7 @@ class Expr:
     dim: int
 
     def __str__(self) -> str:
+        """The expression as source text; parse(str(e), e.dim) rebuilds the same tree."""
         return _to_source(self.root, 1)
 
 
@@ -267,11 +268,6 @@ def _to_source(node: Node, min_level: int) -> str:
             f"{_to_source(node.right, level + 1)}"
         )
     return f"({text})" if _node_level(node) < min_level else text
-
-
-def to_source(e: Expr) -> str:
-    """Print an expression; parse(to_source(e), e.dim) rebuilds the same tree."""
-    return str(e)
 
 
 # ---------------------------------------------------------------- evaluation

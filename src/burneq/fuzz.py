@@ -92,5 +92,4 @@ def random_polystandard_map(rep: OrthogonalRepresentation,
     get interesting.
     """
     f = realize_element(RealizationTarget(random_feasible_element(rep, rng), rep))
-    pieces = tuple(_mutate_piece(p, rng) for p in f.pieces)
-    return PolystandardMap(rep, pieces, known_spacing2=f.known_spacing2)  # orbits unchanged
+    return PolystandardMap(rep, tuple(_mutate_piece(p, rng) for p in f.pieces))

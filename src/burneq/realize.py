@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .burnside import BurnsideElement
-from .degree import LinearLocalMap, PolystandardMap, StandardPiece
+from .degree import LinearLocalMap, PolystandardMap, StandardPiece, tube_size
 from .errors import InfeasibleCoefficient, ZeroDimNegative
 from .group import Subgroup, class_labels, subgroup_classes
 from .linalg import IntOrbit, Matrix, Vector
@@ -89,12 +89,11 @@ def realize_element(target: RealizationTarget) -> PolystandardMap:
         placements.extend((x, sub, local, sign, orb)
                           for x, orb in _witness_orbits(rep, sub, abs(coeff) if d else 1))
 
-    spacing2 = linalg.min_orbit_spacing2([orb for *_, orb in placements])
-    size = Fraction(1) if spacing2 is None else linalg.rational_sqrt_floor(spacing2 / 32)
+    size = tube_size(linalg.min_orbit_spacing2([orb for *_, orb in placements]))
     return PolystandardMap(rep, tuple(
         StandardPiece(x, sub, size, size, local, sign, orb)
         for x, sub, local, sign, orb in placements
-    ), known_spacing2=spacing2)
+    ))
 
 
 __all__ = [
