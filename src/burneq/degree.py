@@ -234,9 +234,13 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
         if any(abs(c) > sys.float_info.max for c in (*x0, radius)):
             raise InvalidPiece("expression piece coordinates are out of floating-point range")
         try:
-            if any(expr_mod.jet(e, x0, (0,) * rep.dim)[0] for e in local.exprs):
-                raise InvalidPiece("expression local map does not vanish at the base point")
-            index = _certify_unique(local.exprs, x0, fs.basis, radius)
+            trees = []
+            for e in local.exprs:
+                value, tree = expr_mod.fold(e, x0, fs.basis)
+                if value:
+                    raise InvalidPiece("expression local map does not vanish at the base point")
+                trees.append(tree)
+            index = _certify_unique(trees, radius)
         except OverflowError as exc:
             raise InvalidPiece(f"expression piece has {exc}") from exc
     elif isinstance(local, DeclaredLocalMap):
@@ -250,38 +254,39 @@ def standard_piece(rep: OrthogonalRepresentation, base_point, local: LocalMapDef
     return StandardPiece(x0, sub, radius, epsilon, local, index, orb)
 
 
-def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
-                    basis: Sequence[Vector], radius: Fraction) -> int:
+def _certify_unique(trees: Sequence[expr_mod.Node], radius: Fraction) -> int:
     """Prove, by an exact interval Krawczyk test, that x0 is the only zero
     of the expressions on the ball |u| <= radius, x = x0 + sum u_k b_k, and
-    return the local index, the sign of det F'(x0).
+    return the local index, the sign of det F'(x0); `trees` are the
+    expressions `fold`ed along the basis b_k of V^H at x0.
 
     The ball holds the piece's radius ball: each `kernel_basis` vector has
     a 1 in its own free column and a 0 in the others', so |sum u_k b_k| >=
     |u|. The boxes live in the coordinates v = J u, with J = F'(x0) read
-    exactly off the restricted trees at u = 0. The trees of G(v) = F(J^-1 v)
-    are the expressions restricted again, along v_i = sum_k (J^-1)[k][i] b_k;
-    `restrict` is linear in the basis, so they fold as the u-trees do. G has
-    G'(0) = I and the Krawczyk operator needs no preconditioner: K(X) = c -
-    G(c) + (I - G'(X))(X - c) (Krawczyk, Computing 4 (1969); Moore,
-    Interval Analysis (1966)). The first box, |v_i| <= radius |J_i|, holds
-    the image of the ball; a box whose u-range misses the ball is dropped.
-    Every other box must be unique (it holds x0 and K(X) lies in its
-    interior, so x0 is its only zero) or empty (0 is outside G(X), or K(X)
-    misses X); the rest, and a box on which a divisor's enclosure contains
-    0, split in thirds along their widest side, so x0 stays inside the
-    middle box; on a bisected box it would sit on an edge. Raises
-    SingularJacobian when J is singular, InvalidPiece when
-    CERTIFICATE_BOXES boxes do not decide the ball, and OverflowError on a
-    power beyond EXACT_POWER_BITS.
+    exactly off the trees at u = 0. The trees of G(v) = F(J^-1 v) are the
+    u-trees with each leaf's coefficients mapped by (J^-1)^T
+    (`expr.change_basis`). G has G'(0) = I and the Krawczyk operator needs
+    no preconditioner: K(X) = c - G(c) + (I - G'(X))(X - c) (Krawczyk,
+    Computing 4 (1969); Moore, Interval Analysis (1966)). The first box,
+    |v_i| <= radius |J_i|, holds the image of the ball; a box whose u-range
+    misses the ball is dropped. Every other box must be unique (it holds x0
+    and K(X) lies in its interior, so x0 is its only zero) or empty (0 is
+    outside G(X), or K(X) misses X); the rest, and a box on which a
+    divisor's enclosure contains 0, split in thirds along their widest
+    side, so x0 stays inside the middle box; on a bisected box it would sit
+    on an edge. Raises SingularJacobian when J is singular, InvalidPiece
+    when CERTIFICATE_BOXES boxes do not decide the ball, and OverflowError
+    on a power beyond EXACT_POWER_BITS.
     """
-    d = len(basis)
+    d = len(trees)
     origin = (0,) * d
-    jacobian = _jacobian_at_origin([expr_mod.restrict(e, x0, basis) for e in exprs])
+    jacobian = _jacobian_at_origin(trees)
     index = _det_sign(jacobian)
     y = linalg.solve(jacobian, linalg.identity(d))
-    trees = [expr_mod.restrict(e, x0, linalg.matmul(linalg.transpose(y), basis))
-             for e in exprs]
+    trees = [expr_mod.change_basis(t, y) for t in trees]
+    # u = J^-1 v = Y v / q on integers, for the gap test below
+    q = math.lcm(*(c.denominator for row in y for c in row))
+    y = [[c.numerator * (q // c.denominator) for c in row] for row in y]
     r2 = radius * radius
     widths = []
     for row in jacobian:
@@ -293,15 +298,18 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
         if not boxes:
             break
         center, radii = boxes.pop()
+        box = expr_mod.clear_box(center, radii)
         if any(center):
-            # squared distance from 0 to the box's u-range, row by row of u = J^-1 v
-            gap2 = sum(max(abs(sum(a * c for a, c in zip(row, center) if a))
-                           - sum(abs(a) * w for a, w in zip(row, radii) if a), 0) ** 2
+            # squared distance from 0 to the box's u-range, row by row of u =
+            # Y v / q, over (q D)^2 for the box cleared over D
+            cs, ws, den = box
+            gap2 = sum(max(abs(sum(a * c for a, c in zip(row, cs) if a))
+                           - sum(abs(a) * w for a, w in zip(row, ws) if a), 0) ** 2
                        for row in y)
-            if gap2 > r2:
+            if gap2 * r2.denominator > r2.numerator * (q * den) ** 2:
                 continue  # no point of the box lies in the ball
         try:
-            if _krawczyk_decides(trees, center, radii):
+            if _krawczyk_decides(trees, box):
                 continue
         except DivisionByZero:
             pass  # a divisor's enclosure contains 0
@@ -316,13 +324,12 @@ def _certify_unique(exprs: tuple[Expr, ...], x0: Vector,
     return index
 
 
-def _krawczyk_decides(trees: Sequence[expr_mod.Node], center: Sequence[Fraction],
-                      radii: Sequence[Fraction]) -> bool:
-    """Whether the box |v - center| <= radii is empty or unique for the
-    trees G, with G'(0) = I; raises DivisionByZero as `integer_interval_jet`
-    does. The box is cleared to integers over one denominator D, and each
-    test below is an integer comparison scaled by positive denominators."""
-    box = expr_mod.clear_box(center, radii)
+def _krawczyk_decides(trees: Sequence[expr_mod.Node], box: expr_mod.Box) -> bool:
+    """Whether the `clear_box`ed box X = {|v - c| <= w} is empty or unique
+    for the trees G, with G'(0) = I; raises DivisionByZero as
+    `integer_interval_jet` does. The box is integers over one denominator
+    D, and each test below is an integer comparison scaled by positive
+    denominators."""
     cs, ws, den = box
     grads = []
     for t in trees:

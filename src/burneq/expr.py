@@ -11,8 +11,10 @@ Grammar (standard precedence, left associative):
 Numbers are decimal literals, kept and printed exactly; variables are
 x1..xn for the declared dimension; '^' takes a literal non-negative integer
 exponent and binds tighter than unary minus, so "-x1^2" means -(x1^2).
-`jet` is exact, and so is `integer_interval_jet`, its interval form over a
-box, on integer endpoints over one denominator per interval.
+`fold` walks an expression once, on integers: it takes the exact value at a
+rational point and folds the tree along a basis there. `integer_interval_jet`
+encloses the value and gradient of a folded tree over a box, on integer
+endpoints over one denominator per interval.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .errors import (
     UnknownVariable,
 )
 
-EXACT_POWER_BITS = 2 ** 20  # jet refuses a power whose exact value would need more bits
+_FLOAT_MAX = int(float_info.max)  # exact: literals are compared with it on integers
+EXACT_POWER_BITS = 2 ** 20  # `fold` and `_ipow` refuse a power whose exact value needs more bits
 
 
 @dataclass(frozen=True)
@@ -65,19 +68,31 @@ class Pow:
 
 @dataclass(frozen=True)
 class Affine:
-    """c + sum_k a_k u_k: a subtree of a `restrict`ed tree, affine in u."""
+    """c + sum_k a_k u_k: a subtree of a `restrict`ed tree, affine in u, kept
+    as integers over one positive denominator, c = num / den and a_k =
+    nums[k] / den."""
 
-    const: Fraction
-    coeffs: tuple[Fraction, ...]
+    num: int
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @cached_property
     def cleared(self) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, int, int], ...]]:
-        """(C, A, q, gradient): const = C / q and coeffs = A / q over their
-        lcm q, and the gradient intervals (a, a, q), cleared on first use."""
-        q = math.lcm(self.const.denominator, *(a.denominator for a in self.coeffs))
-        coeffs = tuple(a.numerator * (q // a.denominator) for a in self.coeffs)
-        return (self.const.numerator * (q // self.const.denominator), coeffs, q,
-                tuple((a, a, q) for a in coeffs))
+        """(C, A, q, gradient): num, nums and den over their gcd, so that q is
+        the lcm of the denominators of c and the a_k in lowest terms, and the
+        gradient intervals (a, a, q), cleared on first use."""
+        g = math.gcd(self.num, *self.nums, self.den)
+        coeffs = tuple(a // g for a in self.nums)
+        q = self.den // g
+        return self.num // g, coeffs, q, tuple((a, a, q) for a in coeffs)
 
 
 Node = Union[Num, Var, Neg, BinOp, Pow, Affine]
@@ -270,98 +285,176 @@ def _to_source(node: Node, min_level: int) -> str:
     return f"({text})" if _node_level(node) < min_level else text
 
 
-# ---------------------------------------------------------------- evaluation
+# ---------------------------------------------------------------- folding
 
-def jet(e: Expr, point: Sequence[Fraction],
-        direction: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """Exact value and directional derivative at a rational point. Raises
-    DivisionByZero on a zero divisor, and OverflowError on a literal or a power
-    outside the float range or beyond EXACT_POWER_BITS, sized before it is taken."""
-    def ev(node: Node) -> tuple[Fraction, Fraction]:
+def _sum(a: Affine, b: Affine, sign: int) -> Affine:
+    """a + sign * b over the lcm of the two denominators."""
+    if a.den == b.den:
+        return Affine(a.num + sign * b.num,
+                      tuple(x + sign * y for x, y in zip(a.nums, b.nums)), a.den)
+    g = math.gcd(a.den, b.den)
+    s, t = b.den // g, sign * (a.den // g)
+    return Affine(a.num * s + b.num * t,
+                  tuple(x * s + y * t for x, y in zip(a.nums, b.nums)), a.den * s)
+
+
+def _scaled(a: Affine, p: int, q: int) -> Affine:
+    """a * p / q, for q != 0."""
+    if q < 0:
+        p, q = -p, -q
+    return Affine(a.num * p, tuple(x * p for x in a.nums), a.den * q)
+
+
+def _fold(e: Expr, point: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
+          ) -> tuple[Node, Fraction | None, list[Exception | None]]:
+    """The walk behind `fold` and `restrict`: the tree, e's value at u = 0 (None
+    where it is undefined), and the first fault of each kind found, in order:
+    one of the value's, one of the fold's own. Nothing is raised here."""
+    zero = (0,) * len(basis)
+    faults: list[Exception | None] = [None, None]
+    leaves: dict[int, Affine] = {}
+
+    def fault(kind: int, exc: Exception) -> None:
+        if faults[kind] is None:
+            faults[kind] = exc
+
+    def walk(node: Node) -> tuple[Node, int | None, int]:
+        """The folded tree and its value at u = 0 as (numerator or None, denominator > 0)."""
         if isinstance(node, Num):
-            if node.value > float_info.max:
-                raise OverflowError("a literal out of floating-point range")
-            return node.value, 0
+            v = node.value
+            if v.numerator > _FLOAT_MAX * v.denominator:
+                fault(0, OverflowError("a literal out of floating-point range"))
+                return Affine(v.numerator, zero, v.denominator), None, 1
+            return Affine(v.numerator, zero, v.denominator), v.numerator, v.denominator
         if isinstance(node, Var):
-            return point[node.index - 1], direction[node.index - 1]
+            a = leaves.get(node.index)
+            if a is None:
+                j = node.index - 1
+                den = math.lcm(point[j].denominator, *(b[j].denominator for b in basis))
+                a = leaves[node.index] = Affine(
+                    point[j].numerator * (den // point[j].denominator),
+                    tuple(b[j].numerator * (den // b[j].denominator) for b in basis), den)
+            return a, a.num, a.den
         if isinstance(node, Neg):
-            return tuple(-x for x in ev(node.operand))
+            a, vn, vd = walk(node.operand)
+            return (_scaled(a, -1, 1) if isinstance(a, Affine) else Neg(a),
+                    None if vn is None else -vn, vd)
         if isinstance(node, Pow):
-            (v, dv), n = ev(node.base), node.exponent
-            num, den = (math.log2(abs(v.numerator)), math.log2(v.denominator)) if v else (0, 0)
-            if not float_info.min_exp - float_info.mant_dig <= n * (num - den) <= float_info.max_exp:
-                raise OverflowError("a power value out of floating-point range")
-            if n * (num + den) > EXACT_POWER_BITS:
-                raise OverflowError("a power too large to evaluate exactly")
-            p = v ** max(n - 1, 0)  # v^(n-1), or v^0 = v^n for n = 0
-            return p * v if n else p, n * p * dv
-        (a, da), (b, db) = ev(node.left), ev(node.right)
-        if node.op == "+":
-            return a + b, da + db
-        if node.op == "-":
-            return a - b, da - db
-        if node.op == "*":
-            return a * b, da * b + a * db
-        if b == 0:
-            raise DivisionByZero("division by zero during exact evaluation")
-        return a / b, (da * b - a * db) / (b * b)
+            a, vn, vd = walk(node.base)
+            n = node.exponent
+            if vn is not None:
+                g = math.gcd(vn, vd)
+                vn, vd = vn // g, vd // g
+                num, den = (math.log2(abs(vn)), math.log2(vd)) if vn else (0, 0)
+                if not (float_info.min_exp - float_info.mant_dig
+                        <= n * (num - den) <= float_info.max_exp):
+                    vn = fault(0, OverflowError("a power value out of floating-point range"))
+                elif n * (num + den) > EXACT_POWER_BITS:
+                    vn = fault(0, OverflowError("a power too large to evaluate exactly"))
+                else:
+                    vn, vd = vn ** n, vd ** n
+            if n == 1:
+                return a, vn, vd
+            if isinstance(a, Affine) and n == 0:
+                return Affine(1, zero, 1), vn, vd
+            if isinstance(a, Affine) and not any(a.nums):
+                g = math.gcd(a.num, a.den)
+                try:
+                    power, _, den = _ipow((a.num // g, a.num // g, a.den // g), n)
+                except OverflowError as exc:
+                    fault(1, exc)
+                    return Pow(a, n), vn, vd
+                return Affine(power, zero, den), vn, vd
+            return Pow(a, n), vn, vd  # n = 0 too: x^0 = 1 only where the base is defined
+        a, an, ad = walk(node.left)
+        b, bn, bd = walk(node.right)
+        op = node.op
+        if an is None or bn is None:
+            vn, vd = None, 1
+        elif op == "+":
+            vn, vd = (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
+        elif op == "-":
+            vn, vd = (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
+        elif op == "*":
+            vn, vd = an * bn, ad * bd
+        elif bn:
+            vn, vd = (an * bd, ad * bn) if bn > 0 else (-an * bd, -ad * bn)
+        else:
+            vn, vd = fault(0, DivisionByZero("division by zero during exact evaluation")), 1
+        if isinstance(a, Affine) and isinstance(b, Affine):
+            if op == "+":
+                return _sum(a, b, 1), vn, vd
+            if op == "-":
+                return _sum(a, b, -1), vn, vd
+            if op == "*" and not any(a.nums):
+                return _scaled(b, a.num, a.den), vn, vd
+            if not any(b.nums) and b.num:
+                p, q = (b.num, b.den) if op == "*" else (b.den, b.num)
+                return _scaled(a, p, q), vn, vd
+        return BinOp(op, a, b), vn, vd
 
-    return ev(e.root)
+    tree, vn, vd = walk(e.root)
+    return tree, None if vn is None else Fraction(vn, vd), faults
 
 
-# ---------------------------------------------------------------- intervals
+def fold(e: Expr, point: Sequence[Fraction],
+         basis: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Node]:
+    """e's exact value at x = point, and its tree on x = point + sum_k u_k
+    basis[k] as `restrict` gives it, from one walk of e.
+
+    The value is taken node by node, left to right, and each power is sized
+    before it is taken. The first fault found is raised: DivisionByZero on a
+    zero divisor, and OverflowError on a literal or a power value outside
+    the float range or a power beyond EXACT_POWER_BITS. A constant power is
+    folded only after those checks, so "(x1 - 2) + 2^1100 - 2^1100" is
+    refused at x1 = 2. Then `restrict`'s own OverflowError, if any, is raised.
+    """
+    tree, value, faults = _fold(e, point, basis)
+    for exc in faults:
+        if exc is not None:
+            raise exc
+    return value, tree
+
 
 def restrict(e: Expr, point: Sequence[Fraction],
              basis: Sequence[Sequence[Fraction]]) -> Node:
     """The tree of e on x = point + sum_k u_k basis[k], as a function of u.
 
     Every subtree that is affine in u, constants among them, is folded into
-    one `Affine` leaf, once, so that `integer_interval_jet` takes the exact
-    range of each such leaf over a box. Raises OverflowError on a constant
+    one `Affine` leaf, once, on integers, so that `integer_interval_jet`
+    takes the exact range of each such leaf over a box. A tree that is
+    undefined at u = 0 is still folded. Raises OverflowError on a constant
     power beyond EXACT_POWER_BITS.
     """
-    zero = (0,) * len(basis)
+    tree, _, (_, exc) = _fold(e, point, basis)
+    if exc is not None:
+        raise exc
+    return tree
 
-    def scaled(a: Affine, c: Fraction) -> Affine:
-        return Affine(a.const * c, tuple(x * c for x in a.coeffs))
 
-    def constant(a: Node) -> bool:
-        return isinstance(a, Affine) and not any(a.coeffs)
+def change_basis(node: Node, matrix: Sequence[Sequence[Fraction]]) -> Node:
+    """A `restrict`ed tree in new coordinates v, u = matrix v: each `Affine`
+    leaf c + a.u becomes c + (matrix^T a).v. For an invertible matrix a leaf
+    is constant exactly when it was, so the tree keeps its shape."""
+    q = math.lcm(*(c.denominator for row in matrix for c in row))
+    columns = list(zip(*([c.numerator * (q // c.denominator) for c in row] for row in matrix)))
 
-    def fold(node: Node) -> Node:
-        if isinstance(node, Num):
-            return Affine(node.value, zero)
-        if isinstance(node, Var):
-            j = node.index - 1
-            return Affine(point[j], tuple(b[j] for b in basis))
+    def walk(node: Node) -> Node:
+        if isinstance(node, Affine):
+            if not any(node.nums):
+                return node
+            return Affine(node.num * q, tuple(sum(map(operator.mul, col, node.nums))
+                                              for col in columns), node.den * q)
         if isinstance(node, Neg):
-            a = fold(node.operand)
-            return scaled(a, -1) if isinstance(a, Affine) else Neg(a)
+            return Neg(walk(node.operand))
         if isinstance(node, Pow):
-            a, n = fold(node.base), node.exponent
-            if n == 1:
-                return a
-            if n == 0 and isinstance(a, Affine):
-                return Affine(Fraction(1), zero)
-            if constant(a):
-                c = a.const
-                power, _, den = _ipow((c.numerator, c.numerator, c.denominator), n)
-                return Affine(Fraction(power, den), zero)
-            return Pow(a, n)  # n = 0 too: x^0 = 1 only where the base is defined
-        a, b = fold(node.left), fold(node.right)
-        if isinstance(a, Affine) and isinstance(b, Affine):
-            if node.op == "+":
-                return Affine(a.const + b.const, tuple(map(operator.add, a.coeffs, b.coeffs)))
-            if node.op == "-":
-                return Affine(a.const - b.const, tuple(map(operator.sub, a.coeffs, b.coeffs)))
-        if node.op == "*" and constant(a) and isinstance(b, Affine):
-            return scaled(b, a.const)
-        if node.op in "*/" and isinstance(a, Affine) and constant(b) and b.const:
-            return scaled(a, b.const if node.op == "*" else 1 / b.const)
-        return BinOp(node.op, a, b)
+            return Pow(walk(node.base), node.exponent)
+        return BinOp(node.op, walk(node.left), walk(node.right))
 
-    return fold(e.root)
+    return walk(node)
 
+
+# ---------------------------------------------------------------- intervals
 
 def _ipow(v: IntInterval, n: int) -> IntInterval:
     """The exact range of x^n over v, for n >= 1, within EXACT_POWER_BITS.

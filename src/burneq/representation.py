@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -53,6 +54,7 @@ from .group import (
     class_index_of,
     class_labels,
     class_leq,
+    left_cosets,
     subgroup_classes,
 )
 from .linalg import IntOrbit, IntVector, Matrix, Vector
@@ -143,13 +145,17 @@ class OrthogonalRepresentation:
     def apply(self, g: int, v: Vector) -> Vector:
         return linalg.matvec(self.matrices[g], v)
 
-    def images(self, point: IntVector) -> list[IntVector]:
-        """rows[g] X for every element g; rho(g) (X / s) is that over denom * s."""
+    def images(self, point: IntVector, elements: Sequence[int] | None = None
+               ) -> list[IntVector]:
+        """rows[g] X for each g of `elements`, in that order, or for every
+        element; rho(g) (X / s) is that over denom * s."""
         if self.sources is not None:
-            return [tuple(map(mul, sgn, map(point.__getitem__, src)))
-                    for src, sgn in zip(self.sources, self.signs)]
+            sources, signs = self.sources, self.signs
+            shuffles = (zip(sources, signs) if elements is None
+                        else ((sources[g], signs[g]) for g in elements))
+            return [tuple(map(mul, sgn, map(point.__getitem__, src))) for src, sgn in shuffles]
         out = []
-        for rows in self.rows:
+        for rows in (self.rows if elements is None else [self.rows[g] for g in elements]):
             image = []
             for row in rows:
                 acc = 0
@@ -480,10 +486,14 @@ def _witness_orbits(rep: OrthogonalRepresentation, subgroup: Subgroup,
 
     With the basis cleared once, b_k = B_k / s, a candidate is the integer
     point X_t = sum_k t^(k+1) B_k over s. Divided by the gcd of s and X_t,
-    its scale is the lcm of x_t's denominators, and one image pass on it
-    gives its stabilizer, which contains H as x_t lies in V^H, and for a
-    pick its orbit. The orbits of earlier picks are kept as integer
-    points over D * s, so a candidate on one is a set lookup on D * X_t.
+    its scale is the lcm of x_t's denominators. x_t lies in V^H, so its
+    stabilizer K contains H and is a union of left cosets g H; K = H unless
+    the least element g of some other coset fixes x_t. So one image pass
+    over the least element of each left coset, ascending (`left_cosets`),
+    decides the candidate, |G| / |H| images in place of |G|. For a pick
+    those images are distinct, and they are its orbit in first-seen element
+    order, as a full pass lists it. The orbits of earlier picks are kept as
+    integer points over D * s, so a candidate on one is a set lookup on D * X_t.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -505,6 +515,10 @@ def _witness_orbits(rep: OrthogonalRepresentation, subgroup: Subgroup,
     s = lcm(*(c.denominator for b in fs.basis for c in b))
     basis = [[(j, c.numerator * (s // c.denominator)) for j, c in enumerate(b) if c]
              for b in fs.basis]
+    firsts: list[int] = []  # the least element of each left coset, ascending; 0 is e
+    for g, number in enumerate(left_cosets(group, subgroup)):
+        if number == len(firsts):
+            firsts.append(g)
     picks: list[tuple[Vector, IntOrbit]] = []
     taken: set[IntVector] = set()
     for t in range(1, d * (len(group.class_of) + count * group.order) + 1):  # a key per subgroup
@@ -517,11 +531,10 @@ def _witness_orbits(rep: OrthogonalRepresentation, subgroup: Subgroup,
             continue
         common = gcd(s, *point)
         reduced, scale = tuple(v // common for v in point), s // common
-        images = rep.images(reduced)
-        if images.count(images[0]) != subgroup.order:
+        points = rep.images(reduced, firsts)
+        if points.count(points[0]) != 1:
             continue
-        points = tuple(dict.fromkeys(images))
-        picks.append((tuple(Fraction(v, scale) for v in reduced), (points, denom * scale)))
+        picks.append((tuple(Fraction(v, scale) for v in reduced), (tuple(points), denom * scale)))
         if len(picks) == count:
             return picks
         taken.update(tuple(common * v for v in image) for image in points)

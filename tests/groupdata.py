@@ -1,10 +1,12 @@
 """Shared catalog of small test groups and representations, and oracles:
 the Fraction elimination (reduced row echelon form, kernel, determinant)
-for the fraction-free `linalg`; the interval jet over Fraction endpoints
-for the integer interval kernel of `expr`; the multiplication table by composing every
-pair of permutations; the Weyl data by scanning G for elements normalizing
-the subgroup; the ring product over the full mark vectors; and the action
-check over all |G|^2 pairs of elements.
+for the fraction-free `linalg`; the exact jet and the restriction of an
+expression over Fractions for the integer `expr.fold`; the interval jet over
+Fraction endpoints for the integer interval kernel of `expr`; the
+multiplication table by composing every pair of permutations; the Weyl
+data by scanning G for elements normalizing the subgroup; the ring product
+over the full mark vectors; the witness ladder with a full image pass per
+candidate; and the action check over all |G|^2 pairs of elements.
 
 Groups are cached so the per-group derived data (class tables, marks) is
 computed once per session. Q8 acts on itself by left translation with
@@ -13,12 +15,16 @@ elements ordered 1, -1, i, -i, j, -j, k, -k.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from sys import float_info
 
 import burneq as bq
 from burneq import expr
-from burneq.errors import DivisionByZero
+from burneq.errors import DivisionByZero, EmptyOrbitTypeStratum
+from burneq.expr import Affine, BinOp, Neg, Num, Pow, Var
 
 GROUP_GENERATORS: dict[str, list[list[int]]] = {
     "Z2": [[1, 0]],
@@ -146,6 +152,115 @@ def fraction_kernel(m) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def jet(e, point, direction):
+    """Exact value and directional derivative of an expression at a rational
+    point, in Fraction arithmetic, as the library evaluated it before `fold`.
+    Raises DivisionByZero on a zero divisor, and OverflowError on a literal
+    or a power outside the float range or beyond EXACT_POWER_BITS, sized
+    before it is taken; the same faults, in the same order, as `fold`."""
+    def ev(node):
+        if isinstance(node, Num):
+            if node.value > float_info.max:
+                raise OverflowError("a literal out of floating-point range")
+            return node.value, 0
+        if isinstance(node, Var):
+            return point[node.index - 1], direction[node.index - 1]
+        if isinstance(node, Neg):
+            return tuple(-x for x in ev(node.operand))
+        if isinstance(node, Pow):
+            (v, dv), n = ev(node.base), node.exponent
+            num, den = (math.log2(abs(v.numerator)), math.log2(v.denominator)) if v else (0, 0)
+            if not float_info.min_exp - float_info.mant_dig <= n * (num - den) <= float_info.max_exp:
+                raise OverflowError("a power value out of floating-point range")
+            if n * (num + den) > expr.EXACT_POWER_BITS:
+                raise OverflowError("a power too large to evaluate exactly")
+            p = v ** max(n - 1, 0)  # v^(n-1), or v^0 = v^n for n = 0
+            return p * v if n else p, n * p * dv
+        (a, da), (b, db) = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return a + b, da + db
+        if node.op == "-":
+            return a - b, da - db
+        if node.op == "*":
+            return a * b, da * b + a * db
+        if b == 0:
+            raise DivisionByZero("division by zero during exact evaluation")
+        return a / b, (da * b - a * db) / (b * b)
+
+    return ev(e.root)
+
+
+def fraction_restrict(e, point, basis):
+    """`expr.restrict` in Fraction arithmetic, as the library folded before
+    it folded on integers: the same tree shapes, and each `Affine` leaf's
+    constant and coefficients in lowest terms over their lcm, as
+    `canonical_tree` gives them. Raises OverflowError on a constant power
+    beyond EXACT_POWER_BITS."""
+    zero = (Fraction(0),) * len(basis)
+
+    def scaled(a, c):
+        return a[0] * c, tuple(x * c for x in a[1])
+
+    def affine(a):
+        return isinstance(a, tuple) and len(a) == 2 and isinstance(a[1], tuple)
+
+    def constant(a):
+        return affine(a) and not any(a[1])
+
+    def fold(node):
+        if isinstance(node, Num):
+            return node.value, zero
+        if isinstance(node, Var):
+            j = node.index - 1
+            return Fraction(point[j]), tuple(Fraction(b[j]) for b in basis)
+        if isinstance(node, Neg):
+            a = fold(node.operand)
+            return scaled(a, -1) if affine(a) else Neg(a)
+        if isinstance(node, Pow):
+            a, n = fold(node.base), node.exponent
+            if n == 1:
+                return a
+            if n == 0 and affine(a):
+                return Fraction(1), zero
+            if constant(a):
+                c = a[0]
+                power, _, den = expr._ipow((c.numerator, c.numerator, c.denominator), n)
+                return Fraction(power, den), zero
+            return Pow(leaf(a), n)
+        a, b = fold(node.left), fold(node.right)
+        if affine(a) and affine(b):
+            if node.op == "+":
+                return a[0] + b[0], tuple(map(operator.add, a[1], b[1]))
+            if node.op == "-":
+                return a[0] - b[0], tuple(map(operator.sub, a[1], b[1]))
+        if node.op == "*" and constant(a) and affine(b):
+            return scaled(b, a[0])
+        if node.op in "*/" and affine(a) and constant(b) and b[0]:
+            return scaled(a, b[0] if node.op == "*" else 1 / b[0])
+        return BinOp(node.op, leaf(a), leaf(b))
+
+    def leaf(a):
+        if not affine(a):
+            return a
+        q = math.lcm(a[0].denominator, *(c.denominator for c in a[1]))
+        return Affine(a[0].numerator * (q // a[0].denominator),
+                      tuple(c.numerator * (q // c.denominator) for c in a[1]), q)
+
+    return leaf(fold(e.root))
+
+
+def canonical_tree(node):
+    """A `restrict`ed tree with each `Affine` leaf in lowest terms, as
+    `Affine.cleared` gives it, so that trees of equal rationals compare equal."""
+    if isinstance(node, Affine):
+        return Affine(*node.cleared[:3])
+    if isinstance(node, Neg):
+        return Neg(canonical_tree(node.operand))
+    if isinstance(node, Pow):
+        return Pow(canonical_tree(node.base), node.exponent)
+    return BinOp(node.op, canonical_tree(node.left), canonical_tree(node.right))
+
+
 def _fraction_imul(a, b):
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return min(products), max(products)
@@ -215,6 +330,51 @@ def fraction_interval_jet(node, center, radii):
         return q, grad
 
     return ev(node)
+
+
+def full_pass_witness_orbits(rep, subgroup, count):
+    """The witness ladder of `representation._witness_orbits` with one image
+    pass over all of G per candidate: a candidate is kept when |H| of its
+    images equal its own, and its orbit is its distinct images in element
+    order."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    fs = bq.fixed_subspace(rep, subgroup)
+    d, group = fs.dim_fixed, rep.group
+    label = bq.class_labels(group)[fs.class_index]
+    if not rep.orbit_types.entries[fs.class_index].occupied:
+        raise EmptyOrbitTypeStratum(
+            f"no point has isotropy exactly ({label}): its fixed space is "
+            f"covered by a larger subgroup"
+        )
+    n, denom = rep.dim, rep.denom
+    if d == 0:
+        if count > 1:
+            raise ValueError(f"the origin is the only orbit with isotropy ({label})")
+        return [(tuple(Fraction(0) for _ in range(n)), ((tuple(0 for _ in range(n)),), denom))]
+    s = math.lcm(*(c.denominator for b in fs.basis for c in b))
+    basis = [[(j, c.numerator * (s // c.denominator)) for j, c in enumerate(b) if c]
+             for b in fs.basis]
+    picks, taken = [], set()
+    for t in range(1, d * (len(group.class_of) + count * group.order) + 1):
+        point = [0] * n
+        for k, b in enumerate(basis):
+            p = t ** (k + 1)
+            for j, c in b:
+                point[j] += p * c
+        if tuple(denom * v for v in point) in taken:
+            continue
+        common = math.gcd(s, *point)
+        reduced, scale = tuple(v // common for v in point), s // common
+        images = rep.images(reduced)
+        if images.count(images[0]) != subgroup.order:
+            continue
+        points = tuple(dict.fromkeys(images))
+        picks.append((tuple(Fraction(v, scale) for v in reduced), (points, denom * scale)))
+        if len(picks) == count:
+            return picks
+        taken.update(tuple(common * v for v in image) for image in points)
+    raise AssertionError("witness ladder exhausted on a nonempty stratum")
 
 
 def compose_mult_table(group: bq.FiniteGroup) -> tuple[tuple[int, ...], ...]:

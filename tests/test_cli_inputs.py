@@ -214,6 +214,31 @@ def test_float_range_expression_pieces_are_one_line_errors(tmp_path, capsys, bas
     assert out == "" and err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("(x1 - 2) / (x1 - 2)", "error: division by zero during exact evaluation"),
+    ("(x1 - 2) + 0 / (x1 - 2)", "error: division by zero during exact evaluation"),
+    ("1 / (1 / (x1 - 2))", "error: division by zero during exact evaluation"),
+    ("x1 - 1", "error: expression local map does not vanish at the base point"),
+    # the constant powers cancel, but 2^1100 is refused before it is folded
+    ("(x1 - 2) + 2^1100 - 2^1100",
+     "error: expression piece has a power value out of floating-point range"),
+])
+def test_base_point_refusals_are_one_line_errors(tmp_path, capsys, expr, message):
+    # Z/2-sign at base point 2: each expression is undefined at the base
+    # point, nonzero there, or holds a power that the exact evaluation refuses
+    group = tmp_path / "z2.json"
+    group.write_text('{"points": 2, "generators": [[1, 0]]}', encoding="utf-8")
+    rep = tmp_path / "sign.json"
+    rep.write_text('{"dim": 1, "generator_matrices": [[["-1"]]]}', encoding="utf-8")
+    the_map = tmp_path / "map.json"
+    the_map.write_text(json.dumps({"pieces": [{
+        "base_point": ["2"], "radius": "1/4", "epsilon": "1/4",
+        "local": {"type": "expr", "exprs": [expr]}}]}), encoding="utf-8")
+    assert main(["degree", "-g", str(group), "-r", str(rep), "-m", str(the_map)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+
+
 def test_huge_power_is_refused_before_it_is_taken(tmp_path, capsys):
     # (2/3)^99999999 as an exact Fraction would take minutes to compute
     group = tmp_path / "z2.json"

@@ -27,8 +27,11 @@ from burneq.errors import (
 )
 from groupdata import (
     PRODUCT_CORPUS_REPS,
+    canonical_tree,
     fraction_det,
     fraction_interval_jet,
+    fraction_restrict,
+    jet,
     kernel_interval_jet,
     make_group,
     make_rep,
@@ -264,7 +267,7 @@ def test_interval_jet_encloses_the_exact_jet(root, x0, basis, data):
              for c, r in zip(center, radii)]
         x = [a + sum(uk * b[j] for uk, b in zip(u, basis)) for j, a in enumerate(x0)]
         try:
-            jets = [expr.jet(e, x, b) for b in basis]
+            jets = [jet(e, x, b) for b in basis]
         except OverflowError:  # a value beyond the float range, which jet refuses
             continue
         assert value[0] <= jets[0][0] <= value[1]
@@ -292,6 +295,39 @@ def test_integer_interval_jet_matches_the_fraction_oracle(root, x0, basis, data)
                                min_size=d, max_size=d))
     assert (_outcome(kernel_interval_jet, tree, center, radii)
             == _outcome(fraction_interval_jet, tree, center, radii))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(root=_tree(3), x0=st.lists(_SMALL, min_size=3, max_size=3),
+       basis=st.lists(st.lists(_SMALL, min_size=3, max_size=3), min_size=1, max_size=2),
+       data=st.data())
+def test_fold_matches_the_fraction_oracle(root, x0, basis, data):
+    """`fold` gives the Fraction jet's value at x0 and the Fraction
+    restriction's tree, leaf for leaf as rationals, or raises the same
+    exception with the same message, the jet's first; and its tree in
+    coordinates u = M v is the restriction along M^T basis."""
+    e, d = expr.Expr(root, 3), len(basis)
+
+    def oracle():
+        value = jet(e, x0, (0,) * 3)[0]
+        return value, fraction_restrict(e, x0, basis)
+
+    def folded():
+        value, tree = expr.fold(e, x0, basis)
+        return value, canonical_tree(tree)
+
+    assert _outcome(folded) == _outcome(oracle)
+    # restrict folds the same tree and checks nothing at x0
+    assert (_outcome(lambda: canonical_tree(expr.restrict(e, x0, basis)))
+            == _outcome(fraction_restrict, e, x0, basis))
+    try:
+        tree = expr.restrict(e, x0, basis)
+    except OverflowError:
+        return
+    m = data.draw(st.lists(st.lists(_SMALL, min_size=d, max_size=d), min_size=d, max_size=d)
+                  .filter(lambda m: fraction_det(m) != 0))
+    moved = la.matmul(la.transpose(m), basis)
+    assert canonical_tree(expr.change_basis(tree, m)) == fraction_restrict(e, x0, moved)
 
 
 def test_power_bound_is_decided_on_reduced_endpoints():
@@ -408,7 +444,7 @@ def test_certificate_trees_have_the_identity_jacobian(d, monkeypatch):
     seen = []
     decides = degree._krawczyk_decides
     monkeypatch.setattr(degree, "_krawczyk_decides",
-                        lambda trees, c, r: seen.append(trees) or decides(trees, c, r))
+                        lambda trees, box: seen.append(trees) or decides(trees, box))
     for _ in range(20):
         seen.clear()
         local, _ = dense_cubic(d, rng)
@@ -442,10 +478,12 @@ def test_certificate_box_decisions_match_the_fraction_oracle(monkeypatch):
     # CERTIFICATE_BOXES boxes are spent and certified at 1/2, and of dense cubics
     decides = degree._krawczyk_decides
 
-    def both(trees, center, radii):
-        assert _outcome(decides, trees, center, radii) == _outcome(
-            _fraction_decides, trees, center, radii)
-        return decides(trees, center, radii)
+    def both(trees, box):
+        cs, ws, den = box
+        center, radii = [Fraction(c, den) for c in cs], [Fraction(w, den) for w in ws]
+        assert expr.clear_box(center, radii) == box
+        assert _outcome(decides, trees, box) == _outcome(_fraction_decides, trees, center, radii)
+        return decides(trees, box)
 
     monkeypatch.setattr(degree, "_krawczyk_decides", both)
     plane = bq.trivial_representation(bq.generate_group([[0]]), 2)
@@ -461,6 +499,49 @@ def test_certificate_box_decisions_match_the_fraction_oracle(monkeypatch):
         local, det = dense_cubic(3, rng)
         piece = bq.standard_piece(space, [0] * 3, local, radius=1, epsilon=1)
         assert piece.index == (1 if det > 0 else -1)
+
+
+def test_box_drop_matches_the_fraction_gap(monkeypatch):
+    # every box the certificate pops is cleared once; the boxes it hands
+    # to the Krawczyk test must be those whose u-range, by the Fraction
+    # gap over u = J^-1 v, meets the ball
+    popped, decided = [], []
+    clear, decides = expr.clear_box, degree._krawczyk_decides
+    monkeypatch.setattr(expr, "clear_box",
+                        lambda c, r: popped.append((tuple(c), tuple(r))) or clear(c, r))
+    monkeypatch.setattr(degree, "_krawczyk_decides",
+                        lambda trees, box: decided.append(box) or decides(trees, box))
+    plane = bq.trivial_representation(bq.generate_group([[0]]), 2)
+    z7 = ExpressionLocalMap((
+        expr.parse("x1^7 - 21*x1^5*x2^2 + 35*x1^3*x2^4 - 7*x1*x2^6 - 1", 2),
+        expr.parse("7*x1^6*x2 - 35*x1^4*x2^3 + 21*x1^2*x2^5 - x2^7", 2)))
+    cases = [(plane, (1, 0), z7, Fraction(1)), (plane, (1, 0), z7, Fraction(1, 2))]
+    rng = random.Random("dense cubic:3")
+    space = bq.trivial_representation(bq.generate_group([[0]]), 3)
+    cases += [(space, (0, 0, 0), dense_cubic(3, rng)[0], Fraction(1)) for _ in range(3)]
+    dropped = 0
+    for rep, x0, local, radius in cases:
+        popped.clear()
+        decided.clear()
+        try:
+            bq.standard_piece(rep, x0, local, radius=radius, epsilon=1)
+        except InvalidPiece:
+            pass
+        x0 = la.vec(x0)
+        basis = bq.fixed_subspace(rep, bq.isotropy(rep, x0)).basis
+        jacobian = degree._jacobian_at_origin([expr.restrict(e, x0, basis) for e in local.exprs])
+        y = la.solve(jacobian, la.identity(len(basis)))
+
+        def meets_ball(box):
+            center, radii = box
+            gap2 = sum(max(abs(sum(a * c for a, c in zip(row, center)))
+                           - sum(abs(a) * w for a, w in zip(row, radii)), 0) ** 2 for row in y)
+            return not any(center) or gap2 <= radius * radius
+
+        kept = [clear(*box) for box in popped if meets_ball(box)]
+        assert kept == decided
+        dropped += len(popped) - len(kept)
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -737,9 +818,10 @@ def test_verify_product_computes_each_factor_index_once(name, monkeypatch):
     f = bq.polystandard_map(rep, f.pieces[:k] + (swapped,) + f.pieces[k + 1:])
     assert any(isinstance(p.local, LinearLocalMap) for m in (f, g) for p in m.pieces)
     calls = []
-    det, restrict = la.det, expr.restrict
+    det, restrict, fold = la.det, expr.restrict, expr.fold
     monkeypatch.setattr(la, "det", lambda matrix: calls.append(matrix) or det(matrix))
     monkeypatch.setattr(expr, "restrict", lambda *a: calls.append(a) or restrict(*a))
+    monkeypatch.setattr(expr, "fold", lambda *a: calls.append(a) or fold(*a))
     assert bq.verify_product(f, g).equal
     bq.deg_polystandard(f)
     bq.deg_polystandard(g)

@@ -1,4 +1,4 @@
-"""Expression parsing, printing, the exact jet and the exact Jacobian."""
+"""Expression parsing, printing, the exact value at a point and the exact Jacobian."""
 
 import random
 from fractions import Fraction
@@ -15,6 +15,7 @@ from burneq.errors import (
     UnknownVariable,
 )
 from burneq.expr import BinOp, Neg, Num, Pow, Var
+from groupdata import jet
 
 
 # ---------------------------------------------------------------- symbolic oracle
@@ -50,7 +51,7 @@ def oracle_jacobian(exprs, point):
     """The symbolic derivatives, each evaluated exactly at a rational point."""
     zero = (Fraction(0),) * len(point)
     return [
-        [expr.jet(expr.Expr(differentiate(e.root, j + 1), e.dim), point, zero)[0]
+        [jet(expr.Expr(differentiate(e.root, j + 1), e.dim), point, zero)[0]
          for j in range(len(point))]
         for e in exprs
     ]
@@ -115,9 +116,17 @@ def test_literals_print_back_exactly(source):
     assert expr.parse(str(e), 1) == e
 
 
+def value_at(e, point):
+    """e's exact value at a point, from `fold` along the unit vectors,
+    checked against the Fraction jet."""
+    value = expr.fold(e, point, la.identity(len(point)))[0]
+    assert value == jet(e, point, (Fraction(0),) * len(point))[0]
+    return value
+
+
 def test_precedence():
     def value(source):
-        return expr.jet(expr.parse(source, 1), (Fraction(0),), (Fraction(0),))[0]
+        return value_at(expr.parse(source, 1), (Fraction(0),))
 
     assert value("2 + 3 * 4") == 14
     assert value("(2 + 3) * 4") == 20
@@ -131,7 +140,7 @@ def test_precedence():
 
 def test_eval_examples():
     def value(source, dim, point):
-        return expr.jet(expr.parse(source, dim), point, (Fraction(0),) * dim)[0]
+        return value_at(expr.parse(source, dim), point)
 
     assert value("x1*x2", 2, (Fraction(3), Fraction(4))) == 12
     assert value("-x1^2", 1, (Fraction(2),)) == -4
@@ -140,7 +149,9 @@ def test_eval_examples():
 def test_division_by_zero():
     e = expr.parse("1/x1", 1)
     with pytest.raises(DivisionByZero):
-        expr.jet(e, (Fraction(0),), (Fraction(1),))
+        jet(e, (Fraction(0),), (Fraction(1),))
+    with pytest.raises(DivisionByZero, match="division by zero during exact evaluation"):
+        expr.fold(e, (Fraction(0),), ((Fraction(1),),))
     with pytest.raises(DivisionByZero):
         exact_jacobian([e], (Fraction(0),))
 
@@ -213,32 +224,61 @@ def test_jacobian_matches_symbolic_oracle_on_fifty_systems():
 
 
 def test_jet_is_exact_value_and_directional_derivative():
+    # the Fraction jet is the oracle for `fold`'s value, and for the
+    # symbolic Jacobian above
     e = expr.parse("x1^3 / (x2 - 0.5) + 0.1 * x2", 2)
     point, direction = (Fraction(2), Fraction(3, 2)), (Fraction(1), Fraction(-2))
-    value, derivative = expr.jet(e, point, direction)
-    assert value == Fraction(8) + Fraction(3, 20)
+    value, derivative = jet(e, point, direction)
+    assert value == Fraction(8) + Fraction(3, 20) == value_at(e, point)
     # d/dx1 = 3 x1^2 / (x2 - 1/2) = 12, d/dx2 = -x1^3 / (x2 - 1/2)^2 + 1/10
     assert derivative == 12 - 2 * (-8 + Fraction(1, 10))
-    with pytest.raises(DivisionByZero):
-        expr.jet(expr.parse("1 / (x1 - 0.25)", 1), (Fraction(1, 4),), (Fraction(1),))
+    for evaluate in (lambda e, p: jet(e, p, (Fraction(1),)), value_at):
+        with pytest.raises(DivisionByZero):
+            evaluate(expr.parse("1 / (x1 - 0.25)", 1), (Fraction(1, 4),))
+
+
+def refusals(e, point):
+    """The OverflowError messages of the Fraction jet and of `fold`'s value."""
+    messages = []
+    for evaluate in (lambda: jet(e, point, (Fraction(1),) * len(point)),
+                     lambda: expr.fold(e, point, la.identity(len(point)))):
+        with pytest.raises(OverflowError) as info:
+            evaluate()
+        messages.append(str(info.value))
+    return messages
 
 
 def test_jet_refuses_values_beyond_the_float_range():
-    with pytest.raises(OverflowError):
-        expr.jet(expr.parse("x1^99999999", 1), (Fraction(2, 3),), (Fraction(1),))
-    with pytest.raises(OverflowError):
-        expr.jet(expr.parse("x1^1100", 1), (Fraction(2),), (Fraction(1),))
-    with pytest.raises(OverflowError):
-        expr.jet(expr.parse("1" + "0" * 400 + " * x1", 1), (Fraction(0),), (Fraction(1),))
+    out_of_range = "a power value out of floating-point range"
+    assert refusals(expr.parse("x1^99999999", 1), (Fraction(2, 3),)) == [out_of_range] * 2
+    assert refusals(expr.parse("x1^1100", 1), (Fraction(2),)) == [out_of_range] * 2
+    assert refusals(expr.parse("1" + "0" * 400 + " * x1", 1), (Fraction(0),)) == [
+        "a literal out of floating-point range"] * 2
     # powers of 0, 1 and -1 stay small however large the exponent
     huge = expr.parse("x1^999999999", 1)
-    assert expr.jet(huge, (Fraction(-1),), (Fraction(1),)) == (-1, 999999999)
-    assert expr.jet(huge, (Fraction(0),), (Fraction(1),)) == (0, 0)
+    assert jet(huge, (Fraction(-1),), (Fraction(1),)) == (-1, 999999999)
+    assert jet(huge, (Fraction(0),), (Fraction(1),)) == (0, 0)
+    assert value_at(huge, (Fraction(-1),)) == -1 and value_at(huge, (Fraction(0),)) == 0
 
 
 def test_jet_refuses_powers_too_large_to_evaluate_exactly():
     near_one = (Fraction("1.000000000000000001"),)
-    value, _ = expr.jet(expr.parse("x1^1000", 1), near_one, (Fraction(1),))
-    assert value == near_one[0] ** 1000
+    assert value_at(expr.parse("x1^1000", 1), near_one) == near_one[0] ** 1000
+    assert refusals(expr.parse("x1^1000000", 1), near_one) == [
+        "a power too large to evaluate exactly"] * 2
+
+
+def test_fold_refuses_a_constant_power_before_folding_it():
+    # restrict folds the cancelling constants; fold checks each power first
+    e = expr.parse("(x1 - 2) + 2^1100 - 2^1100", 1)
+    basis = ((Fraction(1),),)
+    tree = expr.restrict(e, (Fraction(2),), basis)
+    assert isinstance(tree, expr.Affine) and (tree.const, tree.coeffs) == (0, (1,))
+    with pytest.raises(OverflowError, match="a power value out of floating-point range"):
+        expr.fold(e, (Fraction(2),), basis)
+    # the first fault in evaluation order wins, over the fold's own
+    e = expr.parse("1 / (x1 - 2) + 3^" + str(expr.EXACT_POWER_BITS), 1)
     with pytest.raises(OverflowError, match="too large to evaluate exactly"):
-        expr.jet(expr.parse("x1^1000000", 1), near_one, (Fraction(1),))
+        expr.restrict(e, (Fraction(2),), basis)
+    with pytest.raises(DivisionByZero):
+        expr.fold(e, (Fraction(2),), basis)

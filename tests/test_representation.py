@@ -1,5 +1,6 @@
 """Representation validation, fixed subspaces, isotropy, orbit types."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,14 @@ from burneq.errors import (
     NotAHomomorphism,
     NotOrthogonal,
 )
-from groupdata import MARKS_GROUPS, PRODUCT_CORPUS_REPS, fraction_rref, make_group, make_rep
+from groupdata import (
+    MARKS_GROUPS,
+    PRODUCT_CORPUS_REPS,
+    fraction_rref,
+    full_pass_witness_orbits,
+    make_group,
+    make_rep,
+)
 
 
 def rank(m):
@@ -374,6 +382,36 @@ def test_whole_group_witness_with_trivial_summand(s3_perm):
     x = bq.point_with_exact_isotropy(s3_perm, whole)
     assert bq.isotropy(s3_perm, x).order == 6
     assert any(c != 0 for c in x)
+
+
+@pytest.mark.parametrize("name", OCCUPANCY_CORPUS)
+def test_witness_ladder_matches_the_full_pass_ladder(name, monkeypatch):
+    # a candidate is tested on one image per left coset of H, |G| / |H| of
+    # them, and the picks and their orbits are the full-pass ladder's
+    rep = occupancy_rep(name)
+    group = rep.group
+    lengths = []
+    images = rep_mod.OrthogonalRepresentation.images
+    monkeypatch.setattr(rep_mod.OrthogonalRepresentation, "images",
+                        lambda self, point, elements=None: lengths.append(
+                            None if elements is None else len(elements))
+                        or images(self, point, elements))
+    for entry, cls in zip(bq.orbit_types(rep).entries, bq.subgroup_classes(group)):
+        if not entry.occupied:
+            continue
+        sub = cls.representative
+        for count in (1, 2, 3):
+            lengths.clear()
+            try:
+                picks = rep_mod._witness_orbits(rep, sub, count)
+            except ValueError as exc:  # the origin, for the whole group
+                assert entry.dim_fixed == 0 and count > 1
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    full_pass_witness_orbits(rep, sub, count)
+                continue
+            assert lengths == [group.order // sub.order] * len(lengths)
+            assert len(lengths) >= (count if entry.dim_fixed else 0)
+            assert picks == full_pass_witness_orbits(rep, sub, count)
 
 
 @pytest.mark.parametrize("name", PRODUCT_CORPUS_REPS)
